@@ -176,6 +176,9 @@ def cmd_bench(args) -> int:
     if args.urls:
         with open(args.urls, encoding="utf-8") as fh:
             urls = [line.strip() for line in fh if line.strip()]
+        if not urls:
+            _log(f"bench: no URLs in {args.urls}")
+            return 2
     else:
         urls = _SAMPLE_URLS
     stats = bench_inference(model, urls, args.reps)
@@ -218,7 +221,13 @@ def make_handler(model: ModelGraph, threshold: float):
             if self.path != "/check":
                 self._reply(404, {"error": "not found"})
                 return
-            length = int(self.headers.get("Content-Length", "0"))
+            try:
+                length = int(self.headers.get("Content-Length", "0"))
+            except ValueError:
+                length = -1
+            if length < 0:  # reply without reading a body of unknown size
+                self._reply(400, {"error": "bad request: invalid Content-Length"})
+                return
             if length > MAX_REQUEST_BODY:
                 self._reply(413, {"error": "request body too large"})
                 return

@@ -10,8 +10,7 @@ import numpy as np
 from .codec import Vocab, encode_url
 from .errors import ConfigError, ShapeError
 from .layers import (
-    GruParams,
-    LstmParams,
+    CELLS,
     dense_backward,
     dense_forward,
     dropout,
@@ -89,9 +88,7 @@ class ModelGraph:
 
     @property
     def cell(self):
-        if self.config.cell_kind == "lstm":
-            return LstmParams.from_dict(self.params, "cell.")
-        return GruParams.from_dict(self.params, "cell.")
+        return CELLS[self.config.cell_kind].from_dict(self.params, "cell.")
 
     def param_count(self) -> int:
         return sum(v.size for v in self.params.values())
@@ -110,10 +107,7 @@ def build_model(cfg: ModelConfig) -> ModelGraph:
     cfg.validate()
     seeds = np.random.SeedSequence(cfg.seed).generate_state(4 + len(cfg.dense_dims))
     params: ParamSet = {"embed": xavier_init(cfg.vocab_size, cfg.embed_dim, int(seeds[0]))}
-    if cfg.cell_kind == "lstm":
-        cell = LstmParams.init(cfg.embed_dim, cfg.hidden_dim, int(seeds[1]))
-    else:
-        cell = GruParams.init(cfg.embed_dim, cfg.hidden_dim, int(seeds[1]))
+    cell = CELLS[cfg.cell_kind].init(cfg.embed_dim, cfg.hidden_dim, int(seeds[1]))
     params.update(cell.to_dict("cell."))
     in_dim = cfg.hidden_dim
     for k, out_dim in enumerate(cfg.dense_dims):

@@ -38,7 +38,7 @@ from .errors import (
     ModelFormatError,
     ModelVersionError,
 )
-from .layers import GRU_TENSORS, LSTM_TENSORS
+from .layers import CELLS
 from .model import ModelConfig, ModelGraph
 
 MAGIC = b"PDM1"
@@ -47,15 +47,21 @@ _CELL_CODES = {"lstm": 0, "gru": 1}
 _CELL_NAMES = {v: k for k, v in _CELL_CODES.items()}
 
 
+def _tensor_shapes(cfg: ModelConfig) -> List[Tuple[str, Tuple[int, ...]]]:
+    """Name and shape of every parameter tensor, in the fixed serialization
+    order: embedding, cell tensors, dense w/b pairs."""
+    shapes = [("embed", (cfg.vocab_size, cfg.embed_dim))]
+    cell = CELLS[cfg.cell_kind].shapes(cfg.embed_dim, cfg.hidden_dim)
+    shapes += [(f"cell.{n}", shape) for n, shape in cell]
+    dims = (cfg.hidden_dim,) + tuple(cfg.dense_dims)
+    for k in range(len(cfg.dense_dims)):
+        shapes += [(f"dense{k}.w", dims[k : k + 2]), (f"dense{k}.b", dims[k + 1 : k + 2])]
+    return shapes
+
+
 def tensor_order(cfg: ModelConfig) -> List[str]:
     """The fixed serialization order of every parameter tensor."""
-    names = ["embed"]
-    cell = LSTM_TENSORS if cfg.cell_kind == "lstm" else GRU_TENSORS
-    names.extend(f"cell.{n}" for n in cell)
-    for k in range(len(cfg.dense_dims)):
-        names.append(f"dense{k}.w")
-        names.append(f"dense{k}.b")
-    return names
+    return [name for name, _ in _tensor_shapes(cfg)]
 
 
 def _pack_header(cfg: ModelConfig, threshold: float) -> bytes:
@@ -100,27 +106,6 @@ def save_model(m: ModelGraph, path: str) -> int:
     except OSError as e:
         raise IOError(f"cannot write model to {path}: {e}") from e
     return len(blob)
-
-
-def _tensor_shapes(cfg: ModelConfig) -> List[Tuple[str, Tuple[int, ...]]]:
-    shapes: List[Tuple[str, Tuple[int, ...]]] = [
-        ("embed", (cfg.vocab_size, cfg.embed_dim))
-    ]
-    cell = LSTM_TENSORS if cfg.cell_kind == "lstm" else GRU_TENSORS
-    d, h = cfg.embed_dim, cfg.hidden_dim
-    for n in cell:
-        if n.startswith("W_"):
-            shapes.append((f"cell.{n}", (d, h)))
-        elif n.startswith("U_"):
-            shapes.append((f"cell.{n}", (h, h)))
-        else:
-            shapes.append((f"cell.{n}", (h,)))
-    in_dim = h
-    for k, out_dim in enumerate(cfg.dense_dims):
-        shapes.append((f"dense{k}.w", (in_dim, out_dim)))
-        shapes.append((f"dense{k}.b", (out_dim,)))
-        in_dim = out_dim
-    return shapes
 
 
 def load_model(path: str) -> ModelGraph:

@@ -29,16 +29,11 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x):
-    """Numerically stable logistic function, elementwise.
+    """Logistic function, elementwise, as 0.5 * (1 + tanh(x / 2)).
 
-    Sign-split so exp() never overflows: exp(-|x|) is always in (0, 1].
+    tanh saturates at +/-1 instead of overflowing, so no sign split is needed.
     """
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=np.float64)))
     return out if out.ndim else float(out)
 
 

@@ -17,6 +17,9 @@ from .model import ModelGraph, backward_batch, bce_loss, forward_batch, predict
 from .tensor import AdamState, adam_step
 
 IMPROVE_TOL = 1e-6
+EVAL_BATCH = 1000
+LATENCY_SAMPLE = 50  # URLs evaluate() times single-URL predict on
+BENCH_WARMUP = 3  # untimed predict calls before bench_inference measures
 
 
 @dataclass
@@ -114,18 +117,26 @@ def early_stop_check(history: Sequence[float], cfg: TrainConfig) -> str:
     return "stop" if stagnant >= cfg.early_stop_patience else "continue"
 
 
-def _eval_loss_acc(
-    m: ModelGraph, ds: LabeledDataset, vocab: Vocab, batch_size: int = 1000
-) -> Tuple[float, float]:
+def _score(
+    m: ModelGraph, ds: LabeledDataset, vocab: Vocab, threshold: float
+) -> Tuple[Tuple[int, int, int, int], float]:
+    """The evaluation loop: one infer pass over ds in batches of EVAL_BATCH.
+
+    Returns the confusion counts (TP, FP, TN, FN) at threshold and the mean
+    binary cross-entropy.
+    """
+    tp = fp = tn = fn = 0
     total_loss = 0.0
-    correct = 0
-    n = len(ds)
-    for ids, lens, labels in batches(ds, batch_size, 0, vocab, m.config.max_len):
+    for ids, lens, labels in batches(ds, EVAL_BATCH, 0, vocab, m.config.max_len):
         probs, _ = forward_batch(m, ids, lens, mode="infer")
         loss, _ = bce_loss(labels.astype(np.float64), probs)
         total_loss += loss * len(labels)
-        correct += int(np.sum((probs > 0.5).astype(np.int64) == labels))
-    return total_loss / n, correct / n
+        pred = (probs > threshold).astype(np.int64)
+        tp += int(np.sum((pred == 1) & (labels == 1)))
+        fp += int(np.sum((pred == 1) & (labels == 0)))
+        tn += int(np.sum((pred == 0) & (labels == 0)))
+        fn += int(np.sum((pred == 0) & (labels == 1)))
+    return (tp, fp, tn, fn), total_loss / len(ds)
 
 
 def _save_checkpoint(path: str, m: ModelGraph, best: ModelGraph, adam: AdamState,
@@ -241,7 +252,8 @@ def train(
             train_loss = total_loss / n_train
             train_acc = correct / n_train
             model.mode = "infer"
-            val_loss, val_acc = _eval_loss_acc(model, data.test, vocab)
+            (tp, _, tn, _), val_loss = _score(model, data.test, vocab, 0.5)
+            val_acc = (tp + tn) / len(data.test)
             rec = EpochRecord(
                 epoch=epoch,
                 train_loss=train_loss,
@@ -285,7 +297,6 @@ def evaluate(
     threshold: float = 0.5,
     vocab: Optional[Vocab] = None,
     measure_latency: bool = False,
-    latency_sample: int = 50,
 ) -> MetricsReport:
     """Confusion-matrix metrics at the given threshold.
 
@@ -296,21 +307,14 @@ def evaluate(
     if len(ds) == 0:
         raise DataError("cannot evaluate on an empty dataset")
     vocab = vocab or default_vocab()
-    tp = fp = tn = fn = 0
-    for ids, lens, labels in batches(ds, 1000, 0, vocab, model.config.max_len):
-        probs, _ = forward_batch(model, ids, lens, mode="infer")
-        pred = (probs > threshold).astype(np.int64)
-        tp += int(np.sum((pred == 1) & (labels == 1)))
-        fp += int(np.sum((pred == 1) & (labels == 0)))
-        tn += int(np.sum((pred == 0) & (labels == 0)))
-        fn += int(np.sum((pred == 0) & (labels == 1)))
+    (tp, fp, tn, fn), _ = _score(model, ds, vocab, threshold)
     n = len(ds)
     precision = tp / (tp + fp) if (tp + fp) > 0 else 1.0
     recall = tp / (tp + fn) if (tp + fn) > 0 else 1.0
     f_score = 2 * precision * recall / (precision + recall) if (precision + recall) > 0 else 0.0
     mean_latency = None
     if measure_latency:
-        urls = [url for url, _ in ds.records[:latency_sample]]
+        urls = [url for url, _ in ds.records[:LATENCY_SAMPLE]]
         stats = bench_inference(model, urls, repetitions=len(urls), vocab=vocab)
         mean_latency = stats["mean"]
     return MetricsReport(
@@ -382,13 +386,12 @@ def bench_inference(
     urls: Sequence[str],
     repetitions: int,
     vocab: Optional[Vocab] = None,
-    warmup: int = 3,
 ) -> Dict[str, float]:
     """Wall-clock stats for single-URL predict calls; warm-ups excluded."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     vocab = vocab or default_vocab()
-    for k in range(warmup):
+    for k in range(BENCH_WARMUP):
         predict(model, urls[k % len(urls)], vocab)
     samples = np.zeros(repetitions)
     for k in range(repetitions):

@@ -148,6 +148,13 @@ class TestBenchCommand:
         assert 0 < stats["mean"]
         assert stats["p50"] <= stats["p95"] * 1.0001
 
+    def test_url_file_without_urls_exits_2(self, fixture_model_path, tmp_path):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("\n   \n", encoding="utf-8")
+        code, out = run_cli(["bench", "--model", fixture_model_path, "--urls", str(empty)])
+        assert code == 2
+        assert out == ""
+
 
 class TestSynthCommand:
     def test_writes_loadable_csv(self, tmp_path):
@@ -194,6 +201,22 @@ class TestServe:
     def test_missing_url_field_400(self, http_server):
         r = requests.post(http_server + "/check", json={"link": "x"}, timeout=5)
         assert r.status_code == 400
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_400(self, http_server, length):
+        # raw socket: the reply must come without the server reading a body
+        host, _, port = http_server[len("http://"):].partition(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(
+                f"POST /check HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode()
+            )
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line.split()[1] == b"400"
+        assert json.loads(rest.partition(b"\r\n\r\n")[2])["error"].startswith("bad request")
 
     def test_oversized_body_413(self, http_server):
         r = requests.post(

@@ -120,6 +120,15 @@ class TestLstmForward:
         np.testing.assert_allclose(h_masked, h_short, atol=1e-15)
         np.testing.assert_allclose(c_masked, c_short, atol=1e-15)
 
+        # a batch of mixed lengths: each row ends where its own short run does
+        lens = np.array([7, 2, 5, 1])
+        xs = rng.standard_normal((len(lens), 7, 3))
+        _, (h_masked, c_masked), _ = lstm_forward(p, xs, lens=lens)
+        for row, n in enumerate(lens):
+            _, (h_short, c_short), _ = lstm_forward(p, xs[row : row + 1, :n, :])
+            np.testing.assert_allclose(h_masked[row], h_short[0], atol=1e-15)
+            np.testing.assert_allclose(c_masked[row], c_short[0], atol=1e-15)
+
     def test_cell_carry_over_sequence(self, rng):
         p = LstmParams.init(3, 4, seed=7)
         p.b_f[:] = 60.0
@@ -260,6 +269,14 @@ class TestGruForwardBackward:
         _, h_masked, _ = gru_forward(p, xs, lens=np.array([3]))
         _, h_short, _ = gru_forward(p, xs[:, :3, :])
         np.testing.assert_allclose(h_masked, h_short, atol=1e-15)
+
+        # a batch of mixed lengths: each row ends where its own short run does
+        lens = np.array([6, 1, 4, 3])
+        xs = rng.standard_normal((len(lens), 6, 3))
+        _, h_masked, _ = gru_forward(p, xs, lens=lens)
+        for row, n in enumerate(lens):
+            _, h_short, _ = gru_forward(p, xs[row : row + 1, :n, :])
+            np.testing.assert_allclose(h_masked[row], h_short[0], atol=1e-15)
 
 
 class TestEmbedding:

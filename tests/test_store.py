@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -165,3 +166,20 @@ class TestTensorOrder:
         names = tensor_order(m.config)
         assert names[0] == "embed"
         assert set(names) == set(m.params.keys())
+
+
+# SHA-256 of the PDM1 bytes of freshly built default models. Weight
+# initialization, tensor order and layout must not drift.
+PDM1_SHA256 = {
+    ("gru", 0): "9ce28688d3c6b86d6af90e9a888df6c81156f4ccd777358582dafd469435cc15",
+    ("gru", 7): "43ed84b688dc660093aabd6126c3cc59fdb5b5d19d7b1b1472b7f91859e8fb58",
+    ("lstm", 0): "b3eb479a8b1854443c002bc1d35477cc685a63ac09e6fba018c19ecfaa952f52",
+    ("lstm", 7): "9df7bfbe88228cd061e93b348ed53f8c1d2759234e5870fccdec4c9cc55a2dca",
+}
+
+
+@pytest.mark.parametrize("cell,seed", sorted(PDM1_SHA256))
+def test_fresh_model_bytes_are_pinned(cell, seed, tmp_path):
+    path = tmp_path / "m.pdm"
+    save_model(build_model(default_config(cell, seed=seed)), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PDM1_SHA256[(cell, seed)]
