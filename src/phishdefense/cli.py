@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import sys
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .codec import default_vocab
@@ -27,6 +28,9 @@ from .train import (
 )
 
 MAX_REQUEST_BODY = 16 * 1024
+# seconds a serve connection may wait on its client (for a request line, or a
+# body shorter than its Content-Length) before it is closed
+REQUEST_TIMEOUT_S = 10.0
 
 
 def _log(msg: str) -> None:
@@ -200,6 +204,8 @@ def make_handler(model: ModelGraph, threshold: float):
     vocab = default_vocab()
 
     class Handler(BaseHTTPRequestHandler):
+        timeout = REQUEST_TIMEOUT_S
+
         def log_message(self, fmt, *args):  # route access logs to stderr
             _log("%s - %s" % (self.address_string(), fmt % args))
 
@@ -240,7 +246,12 @@ def make_handler(model: ModelGraph, threshold: float):
             except (ValueError, KeyError, TypeError) as e:
                 self._reply(400, {"error": f"bad request: {e}"})
                 return
-            verdict, score = predict(model, url, vocab, threshold)
+            try:
+                verdict, score = predict(model, url, vocab, threshold)
+            except Exception:  # the server keeps running; the client gets a JSON reply
+                _log(traceback.format_exc())
+                self._reply(500, {"error": "internal error"})
+                return
             self._reply(200, {"url": url, "score": score, "verdict": verdict})
 
     return Handler

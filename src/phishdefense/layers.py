@@ -9,36 +9,49 @@ h-wide block per gate, side by side in the PDM1 order -- "fico" for the
 LSTM (forget, input, candidate, output) and "zrh" for the GRU (update,
 reset, candidate). W_f, U_z, b_h, ... are views of their block.
 
-Input projection: `_scan` computes x W + b for every step in one GEMM,
-time-major (t, batch, G*h), before the time loop; each step then adds the
-recurrent term, one GEMM (two for the GRU, whose reset gate multiplies
-h_prev before U_h), and applies the gate activations in place, so the
-projection buffer ends up holding the activations.
+Packed variable lengths: the scan runs each row only over its own length.
+Rows are stably sorted longest first, so step t works on a prefix of n_t
+rows, the rows whose length is greater than t (n_0 >= n_1 >= ...; these
+are the per-step row counts, "sizes"). Inputs and gate activations live in
+packed buffers of sum(lens) rows, where step t owns the contiguous block
+of n_t rows at offset n_0 + ... + n_{t-1}. Finished rows are not touched;
+a row's final state is read at its own last step and returned in the
+caller's row order. When every row runs every step (no lengths, or none
+shorter than the input), the rows keep their order and the packed layout
+is the time-major one, with no sort and no gather.
 
-Variable lengths are handled by masked state carry: at step t, rows with
-t >= true_len keep their previous state unchanged, which is exactly
-equivalent to running the recurrence only over the first true_len steps
-of each row. The backward scan mirrors that carry, so padded positions
-contribute zero gradient.
+Input projection: `_scan` computes x W + b for all packed rows in one GEMM
+before the time loop; each step then adds the recurrent term, one GEMM
+(two for the GRU, whose reset gate multiplies h_prev before U_h), and
+applies the gate activations in place, so the projection buffer ends up
+holding the activations. The backward scan walks the same prefixes,
+writes the gradient at the pre-activations into one packed buffer and
+takes dW, db and the input gradients from it after the loop, one GEMM or
+sum each; only dU accumulates per step.
 
-A scan cache holds only what the backward scan reads: "x", the inputs
-time-major (t, batch, d); "acts", the gate activations (t, batch, G*h);
-"states", the carried states (t+1, S, batch, h) with the initial state at
-index 0 (S = 2 for the LSTM's h and c, 1 for the GRU's h); and "pad", true
-where a step is padding (t, batch, 1), or None without lengths. The
-backward scan does not modify it.
+A scan cache holds only what the backward scan reads: "x", the packed
+inputs (sum(lens), d); "acts", the packed gate activations
+(sum(lens), G*h); "states", (S, batch + sum(lens), h) with the initial
+states of all rows in sorted order first and then one block per step
+holding that step's output (S = 2 for the LSTM's h and c, 1 for the GRU's
+h); "sizes", the per-step row counts as Python ints; "rows", the caller
+row at each sorted position, or slice(None) when rows keep their order;
+"index", the flat (batch, time) position of each packed row, or None when
+the packed order is time-major; and "width", the time length of the
+input. The backward scan does not modify it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ShapeError
 from .tensor import ParamSet, orthogonal_init, sigmoid, softmax, xavier_init
 
-Cache = Dict[str, np.ndarray]
+Cache = Dict[str, Any]
 
 
 class CellParams:
@@ -130,24 +143,28 @@ class LstmParams(CellParams):
         out[0] = o * np.tanh(out[1])
 
     def step_grad(
-        self, a: np.ndarray, prev: np.ndarray, new: np.ndarray, d: np.ndarray, dU: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Backward of step given d = (dh, dc) at new: returns the gradient at
-        the pre-activations (batch, 4h) and (dh, dc) at prev; adds into dU."""
+        self,
+        a: np.ndarray,
+        prev: np.ndarray,
+        new: np.ndarray,
+        d: np.ndarray,
+        dpre: np.ndarray,
+        dU: np.ndarray,
+    ) -> None:
+        """Backward of step given d = (dh, dc) at new: writes the gradient at
+        the pre-activations (batch, 4h) into dpre, overwrites d with (dh, dc)
+        at prev and adds into dU."""
         f, i, g, o = np.split(a, 4, axis=1)
+        df, di, dg, do = np.split(dpre, 4, axis=1)
         tanh_c = np.tanh(new[1])
         dc = d[1] + d[0] * o * (1.0 - tanh_c**2)
-        dpre = np.concatenate(
-            [
-                dc * prev[1] * f * (1.0 - f),
-                dc * g * i * (1.0 - i),
-                dc * i * (1.0 - g**2),
-                d[0] * tanh_c * o * (1.0 - o),
-            ],
-            axis=1,
-        )
+        df[:] = dc * prev[1] * f * (1.0 - f)
+        di[:] = dc * g * i * (1.0 - i)
+        dg[:] = dc * i * (1.0 - g**2)
+        do[:] = d[0] * tanh_c * o * (1.0 - o)
         dU += prev[0].T @ dpre
-        return dpre, np.stack([dpre @ self.U.T, dc * f])
+        d[0] = dpre @ self.U.T
+        d[1] = dc * f
 
 
 class GruParams(CellParams):
@@ -174,22 +191,28 @@ class GruParams(CellParams):
         out[0] = (1.0 - z) * g + z * h_prev
 
     def step_grad(
-        self, a: np.ndarray, prev: np.ndarray, new: np.ndarray, d: np.ndarray, dU: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Backward of step given d = (dh,) at new: returns the gradient at the
-        pre-activations (batch, 3h) and (dh,) at prev; adds into dU."""
+        self,
+        a: np.ndarray,
+        prev: np.ndarray,
+        new: np.ndarray,
+        d: np.ndarray,
+        dpre: np.ndarray,
+        dU: np.ndarray,
+    ) -> None:
+        """Backward of step given d = (dh,) at new: writes the gradient at the
+        pre-activations (batch, 3h) into dpre, overwrites d with (dh,) at
+        prev and adds into dU."""
         n = self.hidden_dim
         z, r, g = np.split(a, 3, axis=1)
+        dzr, dg = dpre[:, : 2 * n], dpre[:, 2 * n :]
         h_prev, dh = prev[0], d[0]
-        dg = dh * (1.0 - z) * (1.0 - g**2)
+        dg[:] = dh * (1.0 - z) * (1.0 - g**2)
         d_rh = dg @ self.U[:, 2 * n :].T
-        dzr = np.concatenate(
-            [dh * (h_prev - g) * z * (1.0 - z), d_rh * h_prev * r * (1.0 - r)], axis=1
-        )
+        dzr[:, :n] = dh * (h_prev - g) * z * (1.0 - z)
+        dzr[:, n:] = d_rh * h_prev * r * (1.0 - r)
         dU[:, : 2 * n] += h_prev.T @ dzr
         dU[:, 2 * n :] += (r * h_prev).T @ dg
-        dh_prev = dh * z + d_rh * r + dzr @ self.U[:, : 2 * n].T
-        return np.concatenate([dzr, dg], axis=1), dh_prev[None]
+        d[0] = dh * z + d_rh * r + dzr @ self.U[:, : 2 * n].T
 
 
 CELLS = {"lstm": LstmParams, "gru": GruParams}
@@ -238,29 +261,54 @@ def _scan(
     state0: Sequence[Optional[np.ndarray]],
     who: str,
 ) -> Tuple[np.ndarray, Cache]:
-    """The masked-carry forward scan of both cells; returns (states, cache)."""
+    """The packed forward scan of both cells; returns (final states (S, batch, h), cache)."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim == 2:
         xs = xs[None, :, :]
     if xs.ndim != 3 or xs.shape[1] == 0:
         raise ShapeError(f"{who}: need (batch, time>=1, dim), got {xs.shape}")
-    b, t_max, d = xs.shape
+    b, width, d = xs.shape
     if d != p.input_dim:
         raise ShapeError(f"{who}: input dim {d} != expected {p.input_dim}")
-    x = np.ascontiguousarray(xs.transpose(1, 0, 2))
-    acts = (x.reshape(t_max * b, d) @ p.W).reshape(t_max, b, -1)
-    acts += p.b
-    states = np.empty((t_max + 1, p.STATES, b, p.hidden_dim))
-    for k, s0 in enumerate(state0):
-        states[0, k] = 0.0 if s0 is None else s0
-    pad = None
+    h = p.hidden_dim
+    order = index = None
+    sizes = [b] * width
     if lens is not None:
-        pad = (np.arange(t_max)[:, None] >= np.asarray(lens)[None, :])[:, :, None]
-    for t in range(t_max):
-        p.step(acts[t], states[t], states[t + 1])
-        if pad is not None:
-            np.copyto(states[t + 1], states[t], where=pad[t])
-    return states, {"x": x, "acts": acts, "states": states, "pad": pad}
+        lens = np.asarray(lens, dtype=np.int64)
+        if lens.shape != (b,):
+            raise ShapeError(f"{who}: lens shape {lens.shape} != batch ({b},)")
+        if lens.min() < width:
+            lens = np.clip(lens, 0, width)
+            order = np.argsort(-lens, kind="stable")
+            lens = lens[order]
+            live = np.arange(lens[0])[:, None] < lens[None, :]
+            sizes = live.sum(axis=1).tolist()
+            steps, rank = np.nonzero(live)
+            index = order[rank] * width + steps
+    if index is None:
+        x = xs.transpose(1, 0, 2).reshape(b * width, d)
+    else:
+        x = xs.reshape(b * width, d)[index]
+    acts = x @ p.W
+    acts += p.b
+    rows = slice(None) if order is None else order
+    states = np.empty((p.STATES, b + len(x), h))
+    for k, s0 in enumerate(state0):
+        states[k, :b] = 0.0 if s0 is None else np.broadcast_to(s0, (b, h))[rows]
+    # state block t starts at bounds[t]: block 0 holds the b initial states,
+    # block t + 1 the n_t outputs of step t, whose packed rows start at bounds[t + 1] - b
+    bounds = [0, *accumulate(sizes, initial=b)]
+    for t, n in enumerate(sizes):
+        prev, out = bounds[t], bounds[t + 1]
+        p.step(acts[out - b : out - b + n], states[:, prev : prev + n], states[:, out : out + n])
+    if order is None:
+        final = states[:, bounds[-2] :]
+    else:  # each row's state after its own last step, back in caller order
+        final = np.empty((p.STATES, b, h))
+        final[:, order] = states[:, np.array(bounds[:-1])[lens] + np.arange(b)]
+    cache = {"x": x, "acts": acts, "states": states, "sizes": sizes,
+             "rows": rows, "index": index, "width": width}
+    return final, cache
 
 
 def _bptt(
@@ -272,20 +320,33 @@ def _bptt(
         raise ShapeError(
             f"{who}: upstream dim {d_h_final.shape[1]} != hidden {p.hidden_dim}"
         )
-    x, acts, states, pad = cache["x"], cache["acts"], cache["states"], cache["pad"]
-    t_max, b, _ = x.shape
-    dW, dU, db = np.zeros_like(p.W), np.zeros_like(p.U), np.zeros_like(p.b)
-    dxs = np.empty((b, t_max, p.input_dim))
-    ds = np.zeros(states.shape[1:])
-    ds[0] = d_h_final
-    for t in range(t_max - 1, -1, -1):
-        d_new = ds if pad is None else np.where(pad[t], 0.0, ds)
-        dpre, d_prev = p.step_grad(acts[t], states[t], states[t + 1], d_new, dU)
-        dW += x[t].T @ dpre
-        db += dpre.sum(axis=0)
-        dxs[:, t, :] = dpre @ p.W.T
-        ds = d_prev if pad is None else np.where(pad[t], ds, d_prev)
-    return type(p).fused(dW, dU, db).to_dict(), dxs
+    x, acts, states, sizes = cache["x"], cache["acts"], cache["states"], cache["sizes"]
+    rows, index, width = cache["rows"], cache["index"], cache["width"]
+    b = states.shape[1] - len(x)
+    # a row keeps its upstream gradient until the loop reaches its last step
+    ds = np.zeros((p.STATES, b, p.hidden_dim))
+    ds[0] = np.broadcast_to(d_h_final, (b, p.hidden_dim))[rows]
+    dpre = np.empty_like(acts)
+    dU = np.zeros_like(p.U)
+    bounds = [0, *accumulate(sizes, initial=b)]
+    for t in range(len(sizes) - 1, -1, -1):
+        n, prev, out = sizes[t], bounds[t], bounds[t + 1]
+        p.step_grad(
+            acts[out - b : out - b + n],
+            states[:, prev : prev + n],
+            states[:, out : out + n],
+            ds[:, :n],
+            dpre[out - b : out - b + n],
+            dU,
+        )
+    dx = dpre @ p.W.T
+    if index is None:
+        dxs = dx.reshape(width, b, -1).transpose(1, 0, 2)
+    else:
+        dxs = np.zeros((b * width, p.input_dim))
+        dxs[index] = dx
+        dxs = dxs.reshape(b, width, -1)
+    return type(p).fused(x.T @ dpre, dU, dpre.sum(axis=0)).to_dict(), dxs
 
 
 def lstm_forward(
@@ -294,10 +355,10 @@ def lstm_forward(
     lens: Optional[np.ndarray] = None,
     h0: Optional[np.ndarray] = None,
     c0: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray], Cache]:
-    """LSTM over (batch, time, dim); returns (h_seq, (h, c) final, cache)."""
-    states, cache = _scan(p, xs, lens, (h0, c0), "lstm_forward")
-    return states[1:, 0].transpose(1, 0, 2), (states[-1, 0], states[-1, 1]), cache
+) -> Tuple[Tuple[np.ndarray, np.ndarray], Cache]:
+    """LSTM over (batch, time, dim) with rows of lengths lens; returns ((h, c) final, cache)."""
+    final, cache = _scan(p, xs, lens, (h0, c0), "lstm_forward")
+    return (final[0], final[1]), cache
 
 
 def lstm_backward(
@@ -312,10 +373,10 @@ def gru_forward(
     xs: np.ndarray,
     lens: Optional[np.ndarray] = None,
     h0: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, Cache]:
-    """GRU over (batch, time, dim); returns (h_seq, h final, cache)."""
-    states, cache = _scan(p, xs, lens, (h0,), "gru_forward")
-    return states[1:, 0].transpose(1, 0, 2), states[-1, 0], cache
+) -> Tuple[np.ndarray, Cache]:
+    """GRU over (batch, time, dim) with rows of lengths lens; returns (h final, cache)."""
+    final, cache = _scan(p, xs, lens, (h0,), "gru_forward")
+    return final[0], cache
 
 
 def gru_backward(
@@ -347,9 +408,9 @@ def embedding_backward(
 
 
 def dropout(
-    x: np.ndarray, rate: float, rng: np.random.Generator, mode: str = "train"
+    x: np.ndarray, rate: float, rng: Optional[np.random.Generator], mode: str = "train"
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Inverted dropout; identity in infer mode. Returns (output, mask)."""
+    """Inverted dropout; identity in infer mode, where rng is not used. Returns (output, mask)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0,1), got {rate}")
     if mode != "train" or rate == 0.0:

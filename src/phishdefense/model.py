@@ -138,14 +138,16 @@ def forward_batch(
     mode = mode or m.mode
     ids = np.atleast_2d(np.asarray(ids, dtype=np.int64))
     if lens is not None:
-        # padded columns beyond the longest row are pure carry; skip them
+        # columns beyond the longest row are padding: cut them, so a batch of
+        # one URL takes the scan's full-length path
         ids = ids[:, : max(1, int(np.max(lens)))]
-    rng = np.random.default_rng(seed)
+    # only train-mode dropout draws from the generator
+    rng = np.random.default_rng(seed) if mode == "train" else None
     xs = embedding_forward(m.params["embed"], ids)
     if cfg.cell_kind == "lstm":
-        _, (h_final, _), cell_caches = lstm_forward(m.cell, xs, lens)
+        (h_final, _), cell_caches = lstm_forward(m.cell, xs, lens)
     else:
-        _, h_final, cell_caches = gru_forward(m.cell, xs, lens)
+        h_final, cell_caches = gru_forward(m.cell, xs, lens)
     caches: Dict = {"ids": ids, "cell": cell_caches, "dense": [], "drop_mask": None}
     slot = _dropout_slot(cfg)
     x = h_final

@@ -3,12 +3,13 @@ import json
 import socket
 import threading
 import time
-from contextlib import redirect_stdout
+from contextlib import contextmanager, redirect_stdout
 
 import pytest
 import requests
 
 from conftest import confusion_fixture
+from phishdefense import cli
 from phishdefense.cli import main, make_handler
 from phishdefense.store import load_model, save_model
 from http.server import ThreadingHTTPServer
@@ -169,15 +170,22 @@ class TestSynthCommand:
         assert int(ds.labels().sum()) == 25
 
 
-@pytest.fixture(scope="module")
-def http_server(fixture_model_path):
-    model = load_model(fixture_model_path)
+@contextmanager
+def serving(model):
     server = ThreadingHTTPServer(("127.0.0.1", 0), make_handler(model, 0.5))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-    server.server_close()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture(scope="module")
+def http_server(fixture_model_path):
+    with serving(load_model(fixture_model_path)) as base:
+        yield base
 
 
 class TestServe:
@@ -217,6 +225,33 @@ class TestServe:
         status_line, _, rest = reply.partition(b"\r\n")
         assert status_line.split()[1] == b"400"
         assert json.loads(rest.partition(b"\r\n\r\n")[2])["error"].startswith("bad request")
+
+    def test_short_body_times_out_and_closes(self, fixture_model_path, monkeypatch):
+        # a body shorter than its Content-Length: the read times out and the
+        # connection closes without a reply instead of holding the thread
+        monkeypatch.setattr(cli, "REQUEST_TIMEOUT_S", 0.5)
+        with serving(load_model(fixture_model_path)) as base:
+            host, _, port = base[len("http://"):].partition(":")
+            clients = [socket.create_connection((host, int(port)), timeout=5) for _ in range(2)]
+            for sock in clients:
+                sock.sendall(
+                    f"POST /check HTTP/1.1\r\nHost: {host}\r\n"
+                    f"Content-Length: 50\r\n\r\n".encode() + b'{"url"'
+                )
+            for sock in clients:
+                with sock:
+                    assert sock.recv(4096) == b""
+            r = requests.post(base + "/check", json={"url": "a"}, timeout=5)
+            assert r.status_code == 200
+
+    def test_predict_error_replies_json_500(self, http_server, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("predict failed")
+
+        monkeypatch.setattr(cli, "predict", fail)
+        r = requests.post(http_server + "/check", json={"url": "a"}, timeout=5)
+        assert r.status_code == 500
+        assert r.json() == {"error": "internal error"}
 
     def test_oversized_body_413(self, http_server):
         r = requests.post(

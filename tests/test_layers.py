@@ -87,7 +87,7 @@ class TestLstmForward:
     def test_length_one_equals_step(self, rng):
         p = LstmParams.init(3, 4, seed=2)
         x = rng.standard_normal((1, 1, 3))
-        h_seq, (h, c), _ = lstm_forward(p, x)
+        (h, c), _ = lstm_forward(p, x)
         hs, cs, _ = lstm_step(p, x[:, 0, :], np.zeros((1, 4)), np.zeros((1, 4)))
         np.testing.assert_array_equal(h, hs)
         np.testing.assert_array_equal(c, cs)
@@ -95,7 +95,7 @@ class TestLstmForward:
     def test_chained_steps(self, rng):
         p = LstmParams.init(3, 4, seed=3)
         xs = rng.standard_normal((1, 5, 3))
-        _, (h, c), _ = lstm_forward(p, xs)
+        (h, c), _ = lstm_forward(p, xs)
         hh = np.zeros((1, 4))
         cc = np.zeros((1, 4))
         for t in range(5):
@@ -105,7 +105,7 @@ class TestLstmForward:
 
     def test_zero_weights_zero_final(self):
         p = zero_lstm(3, 4)
-        _, (h, _), _ = lstm_forward(p, np.zeros((2, 6, 3)))
+        (h, _), _ = lstm_forward(p, np.zeros((2, 6, 3)))
         np.testing.assert_array_equal(h, np.zeros((2, 4)))
 
     def test_empty_sequence_raises(self):
@@ -115,17 +115,17 @@ class TestLstmForward:
     def test_masked_carry_matches_short_run(self, rng):
         p = LstmParams.init(3, 4, seed=6)
         xs = rng.standard_normal((1, 7, 3))
-        _, (h_masked, c_masked), _ = lstm_forward(p, xs, lens=np.array([4]))
-        _, (h_short, c_short), _ = lstm_forward(p, xs[:, :4, :])
+        (h_masked, c_masked), _ = lstm_forward(p, xs, lens=np.array([4]))
+        (h_short, c_short), _ = lstm_forward(p, xs[:, :4, :])
         np.testing.assert_allclose(h_masked, h_short, atol=1e-15)
         np.testing.assert_allclose(c_masked, c_short, atol=1e-15)
 
         # a batch of mixed lengths: each row ends where its own short run does
         lens = np.array([7, 2, 5, 1])
         xs = rng.standard_normal((len(lens), 7, 3))
-        _, (h_masked, c_masked), _ = lstm_forward(p, xs, lens=lens)
+        (h_masked, c_masked), _ = lstm_forward(p, xs, lens=lens)
         for row, n in enumerate(lens):
-            _, (h_short, c_short), _ = lstm_forward(p, xs[row : row + 1, :n, :])
+            (h_short, c_short), _ = lstm_forward(p, xs[row : row + 1, :n, :])
             np.testing.assert_allclose(h_masked[row], h_short[0], atol=1e-15)
             np.testing.assert_allclose(c_masked[row], c_short[0], atol=1e-15)
 
@@ -134,14 +134,14 @@ class TestLstmForward:
         p.b_f[:] = 60.0
         p.b_i[:] = -60.0
         c0 = rng.standard_normal((1, 4))
-        _, (_, c), _ = lstm_forward(p, rng.standard_normal((1, 8, 3)), c0=c0)
+        (_, c), _ = lstm_forward(p, rng.standard_normal((1, 8, 3)), c0=c0)
         np.testing.assert_allclose(c, c0, atol=1e-6)
 
 
 class TestLstmBackward:
     def test_zero_upstream(self, rng):
         p = LstmParams.init(3, 4, seed=8)
-        _, _, caches = lstm_forward(p, rng.standard_normal((2, 5, 3)))
+        _, caches = lstm_forward(p, rng.standard_normal((2, 5, 3)))
         grads, dxs = lstm_backward(p, caches, np.zeros((2, 4)))
         for g in grads.values():
             assert np.all(g == 0)
@@ -151,12 +151,12 @@ class TestLstmBackward:
         p = LstmParams.init(3, 4, seed=9)
         xs = rng.standard_normal((2, 5, 3))
         lens = np.array([5, 3])
-        _, (h, _), caches = lstm_forward(p, xs, lens=lens)
+        (h, _), caches = lstm_forward(p, xs, lens=lens)
         grads, _ = lstm_backward(p, caches, np.ones_like(h))
 
         def loss_fn(params):
             q = LstmParams.from_dict(params)
-            _, (hf, _), _ = lstm_forward(q, xs, lens=lens)
+            (hf, _), _ = lstm_forward(q, xs, lens=lens)
             return float(hf.sum())
 
         fd = finite_diff_grad(loss_fn, p.to_dict())
@@ -168,11 +168,11 @@ class TestLstmBackward:
     def test_input_gradcheck(self, rng):
         p = LstmParams.init(2, 3, seed=10)
         xs = rng.standard_normal((1, 4, 2))
-        _, (h, _), caches = lstm_forward(p, xs)
+        (h, _), caches = lstm_forward(p, xs)
         _, dxs = lstm_backward(p, caches, np.ones_like(h))
 
         def loss_fn(params):
-            _, (hf, _), _ = lstm_forward(p, params["x"])
+            (hf, _), _ = lstm_forward(p, params["x"])
             return float(hf.sum())
 
         fd = finite_diff_grad(loss_fn, {"x": xs})
@@ -187,7 +187,7 @@ class TestLstmBackward:
         p.b_f[:] = 60.0
         p.b_o[:] = 0.3
         c0 = np.array([[0.7]])
-        _, _, caches = lstm_forward(p, np.zeros((1, 1, 1)), c0=c0)
+        _, caches = lstm_forward(p, np.zeros((1, 1, 1)), c0=c0)
         grads, _ = lstm_backward(p, caches, np.ones((1, 1)))
         s = 1.0 / (1.0 + np.exp(-0.3))
         expected = s * (1 - s) * np.tanh(0.7)
@@ -233,13 +233,13 @@ class TestGruForwardBackward:
     def test_length_one_equals_step(self, rng):
         p = GruParams.init(3, 4, seed=9)
         x = rng.standard_normal((1, 1, 3))
-        _, h, _ = gru_forward(p, x)
+        h, _ = gru_forward(p, x)
         hs, _ = gru_step(p, x[:, 0, :], np.zeros((1, 4)))
         np.testing.assert_array_equal(h, hs)
 
     def test_zero_upstream(self, rng):
         p = GruParams.init(3, 4, seed=10)
-        _, _, caches = gru_forward(p, rng.standard_normal((2, 5, 3)))
+        _, caches = gru_forward(p, rng.standard_normal((2, 5, 3)))
         grads, dxs = gru_backward(p, caches, np.zeros((2, 4)))
         for g in grads.values():
             assert np.all(g == 0)
@@ -249,12 +249,12 @@ class TestGruForwardBackward:
         p = GruParams.init(3, 4, seed=11)
         xs = rng.standard_normal((2, 5, 3))
         lens = np.array([5, 2])
-        _, h, caches = gru_forward(p, xs, lens=lens)
+        h, caches = gru_forward(p, xs, lens=lens)
         grads, _ = gru_backward(p, caches, np.ones_like(h))
 
         def loss_fn(params):
             q = GruParams.from_dict(params)
-            _, hf, _ = gru_forward(q, xs, lens=lens)
+            hf, _ = gru_forward(q, xs, lens=lens)
             return float(hf.sum())
 
         fd = finite_diff_grad(loss_fn, p.to_dict())
@@ -266,17 +266,84 @@ class TestGruForwardBackward:
     def test_masked_carry_matches_short_run(self, rng):
         p = GruParams.init(3, 4, seed=12)
         xs = rng.standard_normal((1, 6, 3))
-        _, h_masked, _ = gru_forward(p, xs, lens=np.array([3]))
-        _, h_short, _ = gru_forward(p, xs[:, :3, :])
+        h_masked, _ = gru_forward(p, xs, lens=np.array([3]))
+        h_short, _ = gru_forward(p, xs[:, :3, :])
         np.testing.assert_allclose(h_masked, h_short, atol=1e-15)
 
         # a batch of mixed lengths: each row ends where its own short run does
         lens = np.array([6, 1, 4, 3])
         xs = rng.standard_normal((len(lens), 6, 3))
-        _, h_masked, _ = gru_forward(p, xs, lens=lens)
+        h_masked, _ = gru_forward(p, xs, lens=lens)
         for row, n in enumerate(lens):
-            _, h_short, _ = gru_forward(p, xs[row : row + 1, :n, :])
+            h_short, _ = gru_forward(p, xs[row : row + 1, :n, :])
             np.testing.assert_allclose(h_masked[row], h_short[0], atol=1e-15)
+
+
+# rows in unsorted length order, with a zero-length row and a tie
+PACKED_LENS = np.array([2, 7, 0, 5, 7])
+PACKED_CELLS = {
+    "lstm": (LstmParams, lstm_forward, lstm_backward),
+    "gru": (GruParams, gru_forward, gru_backward),
+}
+
+
+def packed_run(kind, p, xs, lens, state0):
+    """Final states of either cell as a tuple (h, c) or (h,), and the cache."""
+    final, cache = PACKED_CELLS[kind][1](p, xs, lens, *state0)
+    return (final if kind == "lstm" else (final,)), cache
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+class TestPackedScan:
+    def setup_case(self, kind, rng, seed):
+        params, _, _ = PACKED_CELLS[kind]
+        p = params.init(3, 4, seed=seed)
+        xs = rng.standard_normal((len(PACKED_LENS), 7, 3))
+        state0 = tuple(rng.standard_normal((len(PACKED_LENS), 4)) for _ in range(params.STATES))
+        return p, xs, state0
+
+    def test_final_states_match_own_short_run(self, kind, rng):
+        p, xs, state0 = self.setup_case(kind, rng, seed=13)
+        final, _ = packed_run(kind, p, xs, PACKED_LENS, state0)
+        for row, n in enumerate(PACKED_LENS):
+            if n == 0:
+                for got, s0 in zip(final, state0):
+                    np.testing.assert_array_equal(got[row], s0[row])
+                continue
+            own = tuple(s0[row : row + 1] for s0 in state0)
+            short, _ = packed_run(kind, p, xs[row : row + 1, :n, :], None, own)
+            for got, want in zip(final, short):
+                np.testing.assert_allclose(got[row], want[0], atol=1e-15)
+
+    def test_input_gradient_zero_at_padding_and_cache_kept(self, kind, rng):
+        p, xs, state0 = self.setup_case(kind, rng, seed=14)
+        _, cache = packed_run(kind, p, xs, PACKED_LENS, state0)
+        before = {k: np.copy(v) for k, v in cache.items() if isinstance(v, np.ndarray)}
+        _, dxs = PACKED_CELLS[kind][2](p, cache, rng.standard_normal((len(PACKED_LENS), 4)))
+        assert dxs.shape == xs.shape
+        for row, n in enumerate(PACKED_LENS):
+            assert np.all(dxs[row, n:] == 0.0)
+            assert np.all(dxs[row, :n] != 0.0)
+        for k, v in before.items():
+            np.testing.assert_array_equal(cache[k], v)
+
+    def test_gradcheck_unsorted_lens(self, kind, rng):
+        params, _, backward = PACKED_CELLS[kind]
+        p, xs, state0 = self.setup_case(kind, rng, seed=15)
+        weights = rng.standard_normal((len(PACKED_LENS), 4))
+        (h, *_), cache = packed_run(kind, p, xs, PACKED_LENS, state0)
+        grads, dxs = backward(p, cache, weights)
+
+        def loss_fn(ps):
+            q = params.from_dict({k: v for k, v in ps.items() if k != "x"})
+            (hf, *_), _ = packed_run(kind, q, ps["x"], PACKED_LENS, state0)
+            return float(np.sum(hf * weights))
+
+        fd = finite_diff_grad(loss_fn, {**p.to_dict(), "x": xs})
+        for name, ana in [*grads.items(), ("x", dxs)]:
+            num = fd[name]
+            err = np.abs(num - ana) / np.maximum(np.abs(num), 1e-7)
+            assert np.max(err) < 1e-4, name
 
 
 class TestEmbedding:
