@@ -21,12 +21,6 @@ class Vocab:
     def id_for(self, ch: str) -> int:
         return self.mapping.get(ch, UNK_ID)
 
-    def char_for(self, token_id: int) -> str:
-        """Inverse lookup for printable ids; PAD/UNK have no character."""
-        if 2 <= token_id <= self.size - 1:
-            return chr(token_id - 2 + _ASCII_LO)
-        raise KeyError(f"token id {token_id} has no character")
-
 
 @dataclass(frozen=True)
 class EncodedUrl:
@@ -56,8 +50,3 @@ def encode_url(url: str, vocab: Vocab, max_len: int = 200) -> EncodedUrl:
     for i, ch in enumerate(kept):
         ids[i] = vocab.id_for(ch)
     return EncodedUrl(ids=ids, true_len=len(kept))
-
-
-def decode_ids(enc: EncodedUrl, vocab: Vocab) -> str:
-    """Inverse of encode_url for printable-ASCII input (UNK is not invertible)."""
-    return "".join(vocab.char_for(int(t)) for t in enc.ids[: enc.true_len])

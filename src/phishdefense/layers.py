@@ -49,7 +49,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import ParamSet, orthogonal_init, sigmoid, softmax, xavier_init
+from .tensor import ParamSet, orthogonal_init, sigmoid, xavier_init
 
 Cache = Dict[str, Any]
 
@@ -216,8 +216,6 @@ class GruParams(CellParams):
 
 
 CELLS = {"lstm": LstmParams, "gru": GruParams}
-LSTM_TENSORS = LstmParams.tensor_names()
-GRU_TENSORS = GruParams.tensor_names()
 
 
 def _step_inputs(
@@ -422,15 +420,13 @@ def dropout(
 def dense_forward(
     w: np.ndarray, b: np.ndarray, x: np.ndarray, activation: str = "none"
 ) -> Tuple[np.ndarray, Cache]:
-    """x W + b followed by sigmoid, softmax, or no activation."""
+    """x W + b followed by a sigmoid or no activation."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != w.shape[0]:
         raise ShapeError(f"dense: input dim {x.shape[1]} != weight rows {w.shape[0]}")
     pre = x @ w + b
     if activation == "sigmoid":
         out = sigmoid(pre)
-    elif activation == "softmax":
-        out = softmax(pre)
     elif activation == "none":
         out = pre
     else:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -21,9 +21,15 @@ from .layers import (
     lstm_backward,
     lstm_forward,
 )
-from .tensor import ParamSet, xavier_init
+from .tensor import ParamSet, sigmoid, xavier_init
 
 EPS_CLAMP = 1e-12
+
+# The head's final dense width fixes its output kind and the weights that
+# turn its output z into the phishing logit z @ w. A width-2 head is a
+# softmax pair, whose phishing coordinate softmax(z)[1] is sigmoid(z1 - z0).
+_OUTPUT_KINDS = {1: "sigmoid_scalar", 2: "softmax_pair"}
+_LOGIT_WEIGHTS = {1: np.array([1.0]), 2: np.array([-1.0, 1.0])}
 
 
 @dataclass(frozen=True)
@@ -34,46 +40,38 @@ class ModelConfig:
     hidden_dim: int = 128
     dense_dims: Tuple[int, ...] = ()
     dropout_rate: float = 0.0
-    output_kind: str = "softmax_pair"  # "sigmoid_scalar" | "softmax_pair"
     max_len: int = 200
     seed: int = 0
+
+    @property
+    def output_kind(self) -> str:
+        """"sigmoid_scalar" for a final dense width of 1, "softmax_pair" for 2."""
+        return _OUTPUT_KINDS[self.dense_dims[-1]]
 
     def validate(self) -> None:
         if self.cell_kind not in ("lstm", "gru"):
             raise ConfigError(f"unknown cell kind {self.cell_kind!r}")
-        if self.output_kind not in ("sigmoid_scalar", "softmax_pair"):
-            raise ConfigError(f"unknown output kind {self.output_kind!r}")
         if min(self.vocab_size, self.embed_dim, self.hidden_dim, self.max_len) < 1:
             raise ConfigError("all dims must be >= 1")
         if any(d < 1 for d in self.dense_dims) or not self.dense_dims:
             raise ConfigError(f"bad dense widths {self.dense_dims}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout rate {self.dropout_rate} outside [0,1)")
-        want = 1 if self.output_kind == "sigmoid_scalar" else 2
-        if self.dense_dims[-1] != want:
+        if self.dense_dims[-1] not in _OUTPUT_KINDS:
             raise ConfigError(
-                f"{self.output_kind} needs final dense width {want}, "
+                f"final dense width must be 1 (sigmoid scalar) or 2 (softmax pair), "
                 f"got {self.dense_dims[-1]}"
             )
 
 
 def default_config(cell_kind: str, **overrides) -> ModelConfig:
-    """PD-LSTM: sigmoid head, dropout 0.5 after the recurrent layer.
-    PD-GRU: dense 64 -> softmax pair, dropout 0.2 between the dense layers."""
+    """PD-LSTM: one dense layer of width 1 (sigmoid scalar), dropout 0.5.
+    PD-GRU: dense 64 -> width 2 (softmax pair), dropout 0.2.
+    Dropout masks the input of the last dense layer."""
     if cell_kind == "lstm":
-        cfg = ModelConfig(
-            cell_kind="lstm",
-            dense_dims=(1,),
-            dropout_rate=0.5,
-            output_kind="sigmoid_scalar",
-        )
+        cfg = ModelConfig(cell_kind="lstm", dense_dims=(1,), dropout_rate=0.5)
     elif cell_kind == "gru":
-        cfg = ModelConfig(
-            cell_kind="gru",
-            dense_dims=(64, 2),
-            dropout_rate=0.2,
-            output_kind="softmax_pair",
-        )
+        cfg = ModelConfig(cell_kind="gru", dense_dims=(64, 2), dropout_rate=0.2)
     else:
         raise ConfigError(f"unknown cell kind {cell_kind!r}")
     return replace(cfg, **overrides) if overrides else cfg
@@ -83,7 +81,6 @@ def default_config(cell_kind: str, **overrides) -> ModelConfig:
 class ModelGraph:
     config: ModelConfig
     params: ParamSet
-    mode: str = "infer"  # "train" | "infer"
     threshold: float = 0.5
 
     @property
@@ -97,7 +94,6 @@ class ModelGraph:
         return ModelGraph(
             config=self.config,
             params={k: v.copy() for k, v in self.params.items()},
-            mode=self.mode,
             threshold=self.threshold,
         )
 
@@ -114,28 +110,25 @@ def build_model(cfg: ModelConfig) -> ModelGraph:
         params[f"dense{k}.w"] = xavier_init(in_dim, out_dim, int(seeds[2 + k]))
         params[f"dense{k}.b"] = np.zeros(out_dim)
         in_dim = out_dim
-    return ModelGraph(config=cfg, params=params, mode="infer")
-
-
-def _dropout_slot(cfg: ModelConfig) -> str:
-    # single dense layer: mask the recurrent output feeding the head;
-    # deeper stacks: mask between the last two dense layers.
-    return "after_recurrent" if len(cfg.dense_dims) == 1 else "between_dense"
+    return ModelGraph(config=cfg, params=params)
 
 
 def forward_batch(
     m: ModelGraph,
     ids: np.ndarray,
     lens: Optional[np.ndarray] = None,
-    mode: Optional[str] = None,
+    mode: str = "infer",
     seed: int = 0,
 ) -> Tuple[np.ndarray, Dict]:
-    """Embedding -> recurrence over true lengths -> dropout -> dense head.
+    """Embedding -> recurrence over true lengths -> dense head.
 
+    Hidden dense layers use a sigmoid; the last one is linear, and its
+    output z gives the phishing logit: z itself at width 1, z1 - z0 for a
+    softmax pair. In "train" mode, dropout seeded by seed masks the input
+    of the last dense layer.
     Returns per-example phishing probability in (0,1) plus caches for BPTT.
     """
     cfg = m.config
-    mode = mode or m.mode
     ids = np.atleast_2d(np.asarray(ids, dtype=np.int64))
     if lens is not None:
         # columns beyond the longest row are padding: cut them, so a batch of
@@ -145,31 +138,18 @@ def forward_batch(
     rng = np.random.default_rng(seed) if mode == "train" else None
     xs = embedding_forward(m.params["embed"], ids)
     if cfg.cell_kind == "lstm":
-        (h_final, _), cell_caches = lstm_forward(m.cell, xs, lens)
+        (x, _), cell_caches = lstm_forward(m.cell, xs, lens)
     else:
-        h_final, cell_caches = gru_forward(m.cell, xs, lens)
-    caches: Dict = {"ids": ids, "cell": cell_caches, "dense": [], "drop_mask": None}
-    slot = _dropout_slot(cfg)
-    x = h_final
-    if slot == "after_recurrent":
-        x, mask = dropout(x, cfg.dropout_rate, rng, mode)
-        caches["drop_mask"] = mask
-    n_dense = len(cfg.dense_dims)
-    for k in range(n_dense):
-        last = k == n_dense - 1
-        if last and slot == "between_dense":
-            x, mask = dropout(x, cfg.dropout_rate, rng, mode)
-            caches["drop_mask"] = mask
-        if last:
-            act = "sigmoid" if cfg.output_kind == "sigmoid_scalar" else "softmax"
-        else:
-            act = "sigmoid"
-        x, dcache = dense_forward(m.params[f"dense{k}.w"], m.params[f"dense{k}.b"], x, act)
+        x, cell_caches = gru_forward(m.cell, xs, lens)
+    caches: Dict = {"ids": ids, "cell": cell_caches, "dense": []}
+    last = len(cfg.dense_dims) - 1
+    for k in range(last):
+        x, dcache = dense_forward(m.params[f"dense{k}.w"], m.params[f"dense{k}.b"], x, "sigmoid")
         caches["dense"].append(dcache)
-    if cfg.output_kind == "sigmoid_scalar":
-        probs = x[:, 0]
-    else:
-        probs = x[:, 1]
+    x, caches["drop_mask"] = dropout(x, cfg.dropout_rate, rng, mode)
+    z, dcache = dense_forward(m.params[f"dense{last}.w"], m.params[f"dense{last}.b"], x)
+    caches["dense"].append(dcache)
+    probs = sigmoid(z @ _LOGIT_WEIGHTS[cfg.dense_dims[-1]])
     caches["probs"] = probs
     return probs, caches
 
@@ -203,32 +183,19 @@ def backward_batch(
     probs = caches["probs"]
     labels = np.asarray(labels, dtype=np.float64)
     loss, dp = bce_loss(labels, probs)
-    n_dense = len(cfg.dense_dims)
-    head_cache = caches["dense"][-1]
-    out = head_cache["out"]
-    if cfg.output_kind == "sigmoid_scalar":
-        d_pre = (dp * out[:, 0] * (1.0 - out[:, 0]))[:, None]
-    else:
-        # 2-class softmax: only the phishing coordinate reaches the loss
-        p1 = out[:, 1]
-        common = dp * p1 * out[:, 0]
-        d_pre = np.stack([-common, common], axis=1)
+    last = len(cfg.dense_dims) - 1
+    # d(loss)/d(logit), spread over the last dense layer's outputs z
+    dz = (dp * probs * (1.0 - probs))[:, None] * _LOGIT_WEIGHTS[cfg.dense_dims[-1]]
     grads: ParamSet = {}
-    dx = d_pre
-    slot = _dropout_slot(cfg)
-    for k in range(n_dense - 1, -1, -1):
-        dcache = caches["dense"][k]
-        if k != n_dense - 1:
-            # hidden dense layers use a sigmoid activation
-            a = dcache["out"]
-            dx = dx * a * (1.0 - a)
-        dw, db, dx = dense_backward(m.params[f"dense{k}.w"], dcache, dx)
-        grads[f"dense{k}.w"] = dw
-        grads[f"dense{k}.b"] = db
-        if k == n_dense - 1 and slot == "between_dense" and caches["drop_mask"] is not None:
-            dx = dx * caches["drop_mask"]
-    if slot == "after_recurrent" and caches["drop_mask"] is not None:
+    dw, db, dx = dense_backward(m.params[f"dense{last}.w"], caches["dense"][last], dz)
+    grads[f"dense{last}.w"], grads[f"dense{last}.b"] = dw, db
+    if caches["drop_mask"] is not None:
         dx = dx * caches["drop_mask"]
+    for k in range(last - 1, -1, -1):
+        # hidden dense layers use a sigmoid activation
+        a = caches["dense"][k]["out"]
+        dw, db, dx = dense_backward(m.params[f"dense{k}.w"], caches["dense"][k], dx * a * (1.0 - a))
+        grads[f"dense{k}.w"], grads[f"dense{k}.b"] = dw, db
     if cfg.cell_kind == "lstm":
         cell_grads, dxs = lstm_backward(m.cell, caches["cell"], dx)
     else:
@@ -243,7 +210,7 @@ def predict(
 ) -> Tuple[str, float]:
     """Infer-mode score for one URL; ties at the threshold go to legitimate."""
     enc = encode_url(url, vocab, m.config.max_len)
-    probs, _ = forward_batch(m, enc.ids[None, :], np.array([enc.true_len]), mode="infer")
+    probs, _ = forward_batch(m, enc.ids[None, :], np.array([enc.true_len]))
     score = float(probs[0])
     verdict = "phishing" if score > threshold else "legitimate"
     return verdict, score

@@ -109,7 +109,7 @@ def save_model(m: ModelGraph, path: str) -> int:
 
 
 def load_model(path: str) -> ModelGraph:
-    """Read a PDM1 file back into an infer-mode graph (weights widened to f64)."""
+    """Read a PDM1 file back into a graph (weights widened to f64)."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -144,7 +144,6 @@ def load_model(path: str) -> ModelGraph:
             hidden_dim=hidden,
             dense_dims=tuple(int(d) for d in dense_dims),
             dropout_rate=float(np.float32(drop)),
-            output_kind="sigmoid_scalar" if dense_dims and dense_dims[-1] == 1 else "softmax_pair",
             max_len=max_len,
         )
         cfg.validate()
@@ -165,4 +164,4 @@ def load_model(path: str) -> ModelGraph:
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         params[name] = arr.astype(np.float64).reshape(shape)
         offset += 4 * count
-    return ModelGraph(config=cfg, params=params, mode="infer", threshold=float(threshold))
+    return ModelGraph(config=cfg, params=params, threshold=float(threshold))

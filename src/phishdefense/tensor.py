@@ -1,4 +1,4 @@
-"""Numeric substrate: dense ops, activations, initializers, Adam, finite differences.
+"""Numeric substrate: the sigmoid, initializers and Adam.
 
 Matrices and vectors are plain float64 numpy arrays; a "parameter set" is a
 dict mapping tensor names to arrays. All randomness flows through explicitly
@@ -8,24 +8,13 @@ seeded numpy Generators so every caller is reproducible from one seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict
+from typing import Dict
 
 import numpy as np
 
 from .errors import NumericError, ShapeError
 
 ParamSet = Dict[str, np.ndarray]
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def sigmoid(x):
@@ -35,23 +24,6 @@ def sigmoid(x):
     """
     out = 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=np.float64)))
     return out if out.ndim else float(out)
-
-
-def tanh_act(x):
-    """Hyperbolic tangent, elementwise (np.tanh is stable at extremes)."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.tanh(x)
-    return out if out.ndim else float(out)
-
-
-def softmax(v: np.ndarray) -> np.ndarray:
-    """Shift-invariant softmax along the last axis."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise ShapeError("softmax of an empty vector")
-    shifted = v - np.max(v, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def orthogonal_init(rows: int, cols: int, seed: int) -> np.ndarray:
@@ -124,29 +96,3 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> ParamSet:
         out[name] = p - state.alpha * m_hat / (np.sqrt(v_hat) + state.epsilon)
     return out
 
-
-def finite_diff_grad(
-    loss_fn: Callable[[ParamSet], float], params: ParamSet, h: float = 1e-5
-) -> ParamSet:
-    """Central-difference gradient of loss_fn over every coordinate.
-
-    Test oracle only: O(2 * n_params) loss evaluations.
-    """
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    grads: ParamSet = {}
-    work = {k: v.copy() for k, v in params.items()}
-    for name, p in work.items():
-        g = np.zeros_like(p)
-        flat = p.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = loss_fn(work)
-            flat[i] = orig - h
-            lo = loss_fn(work)
-            flat[i] = orig
-            gflat[i] = (hi - lo) / (2.0 * h)
-        grads[name] = g
-    return grads

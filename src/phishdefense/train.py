@@ -12,7 +12,7 @@ import numpy as np
 
 from .codec import Vocab, default_vocab
 from .data import LabeledDataset, SplitPair, batches
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .model import ModelGraph, backward_batch, bce_loss, forward_batch, predict
 from .tensor import AdamState, adam_step
 
@@ -128,7 +128,7 @@ def _score(
     tp = fp = tn = fn = 0
     total_loss = 0.0
     for ids, lens, labels in batches(ds, EVAL_BATCH, 0, vocab, m.config.max_len):
-        probs, _ = forward_batch(m, ids, lens, mode="infer")
+        probs, _ = forward_batch(m, ids, lens)
         loss, _ = bce_loss(labels.astype(np.float64), probs)
         total_loss += loss * len(labels)
         pred = (probs > threshold).astype(np.int64)
@@ -150,6 +150,7 @@ def _save_checkpoint(path: str, m: ModelGraph, best: ModelGraph, adam: AdamState
     tensors.update({f"m2.{k}": v for k, v in adam.second_moment.items()})
     meta = json.dumps(
         {
+            "config": asdict(m.config),
             "epoch": epoch,
             "adam": {"alpha": adam.alpha, "beta1": adam.beta1, "beta2": adam.beta2,
                      "epsilon": adam.epsilon, "step": adam.step},
@@ -176,9 +177,25 @@ def _best_epoch(history: List[EpochRecord]) -> int:
     return max(history, key=lambda r: (r.val_accuracy, -r.epoch)).epoch
 
 
+def _write_history(fh, records: Sequence[EpochRecord]) -> None:
+    for rec in records:
+        fh.write(json.dumps(asdict(rec)) + "\n")
+    fh.flush()
+
+
 def _load_checkpoint(path: str, m: ModelGraph):
     data = np.load(path)
     meta = json.loads(bytes(data["__meta__"]).decode())
+    saved = meta.get("config")
+    if saved is None:
+        raise ConfigError(f"{path}: checkpoint records no model config, cannot resume")
+    want = json.loads(json.dumps(asdict(m.config)))
+    differ = sorted(k for k in want.keys() | saved.keys() if want.get(k) != saved.get(k))
+    if differ:
+        raise ConfigError(
+            f"{path}: checkpoint is from a different model: "
+            + ", ".join(f"{k} {saved.get(k)!r} != {want.get(k)!r}" for k in differ)
+        )
     cur = {k[len("cur."):]: data[k] for k in data.files if k.startswith("cur.")}
     best = {k[len("best."):]: data[k] for k in data.files if k.startswith("best.")}
     adam = AdamState(**meta["adam"])
@@ -225,14 +242,17 @@ def train(
             )
             start_epoch = last_epoch + 1
     n_train = len(data.train)
-    hist_fh = open(history_path, "a" if resume else "w") if history_path else None
+    hist_fh = open(history_path, "w") if history_path else None
     try:
+        if hist_fh:
+            # a resumed run restarts the file from its checkpoint's records, so an
+            # epoch logged just before a crash that lost its checkpoint is not repeated
+            _write_history(hist_fh, history)
         for epoch in range(start_epoch, cfg.epochs):
             t0 = time.perf_counter()
             epoch_seed = int(np.random.SeedSequence([cfg.seed, epoch]).generate_state(1)[0])
             total_loss = 0.0
             correct = 0
-            model.mode = "train"
             for b_idx, (ids, lens, labels) in enumerate(
                 batches(data.train, cfg.batch_size, epoch_seed, vocab, max_len)
             ):
@@ -251,7 +271,6 @@ def train(
                 correct += int(np.sum((probs > 0.5).astype(np.int64) == labels))
             train_loss = total_loss / n_train
             train_acc = correct / n_train
-            model.mode = "infer"
             (tp, _, tn, _), val_loss = _score(model, data.test, vocab, 0.5)
             val_acc = (tp + tn) / len(data.test)
             rec = EpochRecord(
@@ -265,8 +284,7 @@ def train(
             )
             history.append(rec)
             if hist_fh:
-                hist_fh.write(json.dumps(asdict(rec)) + "\n")
-                hist_fh.flush()
+                _write_history(hist_fh, [rec])
             if log:
                 log(
                     f"epoch {epoch}: train_loss={train_loss:.4f} "
@@ -287,7 +305,6 @@ def train(
     finally:
         if hist_fh:
             hist_fh.close()
-    best_model.mode = "infer"
     return best_model, history
 
 

@@ -4,6 +4,75 @@ import numpy as np
 import pytest
 
 
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product with an explicit shape check."""
+    from phishdefense.errors import ShapeError
+
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+    return a @ b
+
+
+def tanh_act(x):
+    """Hyperbolic tangent, elementwise (np.tanh is stable at extremes)."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.tanh(x)
+    return out if out.ndim else float(out)
+
+
+def softmax(v: np.ndarray) -> np.ndarray:
+    """Shift-invariant softmax along the last axis."""
+    from phishdefense.errors import ShapeError
+
+    v = np.asarray(v, dtype=np.float64)
+    if v.size == 0:
+        raise ShapeError("softmax of an empty vector")
+    shifted = v - np.max(v, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def finite_diff_grad(loss_fn, params, h: float = 1e-5):
+    """Central-difference gradient of loss_fn over every coordinate.
+
+    Test oracle: O(2 * n_params) loss evaluations.
+    """
+    if h <= 0:
+        raise ValueError(f"step size must be positive, got {h}")
+    grads = {}
+    work = {k: v.copy() for k, v in params.items()}
+    for name, p in work.items():
+        g = np.zeros_like(p)
+        flat = p.reshape(-1)
+        gflat = g.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            hi = loss_fn(work)
+            flat[i] = orig - h
+            lo = loss_fn(work)
+            flat[i] = orig
+            gflat[i] = (hi - lo) / (2.0 * h)
+        grads[name] = g
+    return grads
+
+
+def char_for(vocab, token_id: int) -> str:
+    """Inverse lookup for printable ids; PAD/UNK have no character."""
+    if 2 <= token_id <= vocab.size - 1:
+        return chr(token_id - 2 + 32)  # printable ASCII starts at 32
+    raise KeyError(f"token id {token_id} has no character")
+
+
+def decode_ids(enc, vocab) -> str:
+    """Inverse of encode_url for printable-ASCII input (UNK is not invertible)."""
+    return "".join(char_for(vocab, int(t)) for t in enc.ids[: enc.true_len])
+
+
 def scalar_sigmoid(x: float) -> float:
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))
@@ -79,7 +148,6 @@ def confusion_fixture():
         hidden_dim=1,
         dense_dims=(1,),
         dropout_rate=0.0,
-        output_kind="sigmoid_scalar",
         max_len=4,
         seed=0,
     )
@@ -99,7 +167,7 @@ def confusion_fixture():
         params["embed"][vocab.id_for(ch), 0] = 10.0
     for ch in "dfghij":
         params["embed"][vocab.id_for(ch), 0] = -10.0
-    model = ModelGraph(config=cfg, params=params, mode="infer")
+    model = ModelGraph(config=cfg, params=params)
     ds = LabeledDataset(
         records=[(ch, 1) for ch in "abcd"] + [(ch, 0) for ch in "efghij"]
     )

@@ -13,7 +13,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from conftest import confusion_fixture, oracle_gru_step, oracle_lstm_step
+from conftest import confusion_fixture, finite_diff_grad, oracle_gru_step, oracle_lstm_step
 from phishdefense.cli import main
 from phishdefense.codec import default_vocab
 from phishdefense.data import split
@@ -30,7 +30,6 @@ from phishdefense.model import (
     predict,
 )
 from phishdefense.store import load_model, save_model
-from phishdefense.tensor import finite_diff_grad
 from phishdefense.train import (
     SchedulerState,
     TrainConfig,
@@ -66,7 +65,6 @@ def tiny_cfg(cell):
         hidden_dim=5,
         dense_dims=(1,) if cell == "lstm" else (3, 2),
         dropout_rate=0.5 if cell == "lstm" else 0.2,
-        output_kind="sigmoid_scalar" if cell == "lstm" else "softmax_pair",
         max_len=6,
         seed=3,
     )
@@ -224,7 +222,6 @@ def test_criterion_7_serialization(tmp_path):
             hidden_dim=10,
             dense_dims=(6, 2),
             dropout_rate=0.2,
-            output_kind="softmax_pair",
             max_len=40,
             seed=4,
         )

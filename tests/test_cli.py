@@ -75,6 +75,19 @@ class TestTrainCommand:
         assert j1 == j2
         assert (tmp_path / "a.pdm").read_bytes() == (tmp_path / "b.pdm").read_bytes()
 
+    def test_resume_with_another_cell_exits_1(self, tmp_path, capsys):
+        args = ["train", "--synthetic", "40", "--seed", "2", "--epochs", "1", "--batch", "20",
+                "--hidden", "4", "--embed", "3", "--max-len", "20",
+                "--workdir", str(tmp_path / "work"), "--out", str(tmp_path / "m.pdm")]
+        assert run_cli(args + ["--cell", "gru"])[0] == 0
+        capsys.readouterr()
+        code, stdout = run_cli(args + ["--cell", "lstm", "--epochs", "2", "--resume"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert stdout == ""
+        assert "error:" in err and "cell_kind" in err
+        assert "Traceback" not in err
+
 
 class TestPredictCommand:
     def test_tie_break_on_neutral_url(self, fixture_model_path):

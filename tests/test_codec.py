@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import decode_ids
 from phishdefense.codec import (
     PAD_ID,
     UNK_ID,
-    decode_ids,
     default_vocab,
     encode_url,
 )

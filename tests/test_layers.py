@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import oracle_gru_step, oracle_lstm_step
+from conftest import finite_diff_grad, oracle_gru_step, oracle_lstm_step
 from phishdefense.errors import ShapeError
 from phishdefense.layers import (
     GruParams,
@@ -18,7 +18,6 @@ from phishdefense.layers import (
     lstm_forward,
     lstm_step,
 )
-from phishdefense.tensor import finite_diff_grad
 
 
 def zero_lstm(d, h):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import finite_diff_grad, softmax
 from phishdefense.codec import default_vocab
 from phishdefense.errors import ConfigError
 from phishdefense.model import (
@@ -13,7 +14,7 @@ from phishdefense.model import (
     forward_batch,
     predict,
 )
-from phishdefense.tensor import finite_diff_grad
+from phishdefense.store import load_model, save_model
 
 VOCAB = default_vocab()
 
@@ -26,7 +27,6 @@ def tiny_config(cell="gru", **kw):
         hidden_dim=5,
         dense_dims=(4, 2) if cell == "gru" else (1,),
         dropout_rate=0.2 if cell == "gru" else 0.5,
-        output_kind="softmax_pair" if cell == "gru" else "sigmoid_scalar",
         max_len=6,
         seed=3,
     )
@@ -54,9 +54,9 @@ class TestBuildModel:
 
     def test_head_width_mismatch(self):
         with pytest.raises(ConfigError):
-            build_model(tiny_config("lstm", dense_dims=(2,)))
+            build_model(tiny_config("lstm", dense_dims=(3,)))
         with pytest.raises(ConfigError):
-            build_model(tiny_config("gru", dense_dims=(4, 1)))
+            build_model(tiny_config("gru", dense_dims=(4, 3)))
 
     def test_recurrent_weights_orthogonal(self):
         m = build_model(tiny_config("lstm", hidden_dim=6))
@@ -91,6 +91,48 @@ class TestForwardBatch:
             ids = rng.integers(0, 10, size=(5, 6))
             probs, _ = forward_batch(m, ids, np.full(5, 6), mode="infer")
             assert np.all(probs > 0) and np.all(probs < 1)
+
+
+class TestHead:
+    @pytest.mark.parametrize(
+        "dims, kind",
+        [((1,), "sigmoid_scalar"), ((2,), "softmax_pair"),
+         ((4, 1), "sigmoid_scalar"), ((4, 2), "softmax_pair")],
+    )
+    def test_output_kind_follows_final_width(self, dims, kind):
+        for cell in ("lstm", "gru"):
+            assert tiny_config(cell, dense_dims=dims).output_kind == kind
+
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    def test_dropout_masks_last_dense_input(self, cell, rng):
+        cfg = default_config(cell, vocab_size=10, embed_dim=3, hidden_dim=5, max_len=6)
+        m = build_model(cfg)
+        ids = rng.integers(0, 10, size=(4, 6))
+        _, caches = forward_batch(m, ids, np.full(4, 6), mode="train", seed=2)
+        last = len(cfg.dense_dims) - 1
+        assert caches["drop_mask"].shape == (4, m.params[f"dense{last}.w"].shape[0])
+
+    def test_softmax_pair_probability(self, rng):
+        m = build_model(tiny_config("gru"))
+        ids = rng.integers(0, 10, size=(5, 6))
+        probs, caches = forward_batch(m, ids, np.array([6, 5, 3, 1, 6]))
+        z = caches["dense"][-1]["out"]
+        np.testing.assert_allclose(probs, softmax(z)[:, 1], rtol=0, atol=1e-15)
+
+    def test_softmax_pair_on_a_single_dense_layer(self, tmp_path, rng):
+        m = build_model(tiny_config("lstm", dense_dims=(2,)))
+        path = str(tmp_path / "m.pdm")
+        save_model(m, path)
+        loaded = load_model(path)
+        assert loaded.config.dense_dims == (2,)
+        assert loaded.config.output_kind == "softmax_pair"
+        ids = rng.integers(0, 10, size=(3, 6))
+        lens = np.array([6, 2, 4])
+        p_loaded, caches = forward_batch(loaded, ids, lens)
+        z = caches["dense"][-1]["out"]
+        np.testing.assert_allclose(p_loaded, softmax(z)[:, 1], rtol=0, atol=1e-15)
+        p_source, _ = forward_batch(m, ids, lens)
+        np.testing.assert_allclose(p_loaded, p_source, rtol=0, atol=1e-5)
 
 
 class TestBceLoss:

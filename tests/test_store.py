@@ -24,7 +24,6 @@ def small_model(cell="gru", seed=0):
             hidden_dim=8,
             dense_dims=(4, 2) if cell == "gru" else (1,),
             dropout_rate=0.2,
-            output_kind="softmax_pair" if cell == "gru" else "sigmoid_scalar",
             max_len=30,
             seed=seed,
         )
@@ -103,7 +102,6 @@ class TestLoadModel:
         assert loaded.config.dense_dims == m.config.dense_dims
         assert loaded.config.max_len == m.config.max_len
         assert loaded.threshold == pytest.approx(0.7, abs=1e-7)
-        assert loaded.mode == "infer"
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pdm"

@@ -4,18 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import finite_diff_grad, matmul, softmax, tanh_act
 from phishdefense.errors import NumericError, ShapeError
-from phishdefense.tensor import (
-    AdamState,
-    adam_step,
-    finite_diff_grad,
-    matmul,
-    orthogonal_init,
-    sigmoid,
-    softmax,
-    tanh_act,
-    xavier_init,
-)
+from phishdefense.tensor import AdamState, adam_step, orthogonal_init, sigmoid, xavier_init
 
 
 class TestMatmul:

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from phishdefense.codec import default_vocab
 from phishdefense.data import LabeledDataset, split
+from phishdefense.errors import ConfigError
 from phishdefense.model import ModelConfig, build_model, forward_batch
 from phishdefense.train import (
     SchedulerState,
@@ -19,6 +21,8 @@ from phishdefense.train import (
 
 VOCAB = default_vocab()
 CFG = TrainConfig()
+# the package exports the train() function under the module's own name
+train_module = importlib.import_module("phishdefense.train")
 
 
 def run_scheduler(losses, cfg=CFG):
@@ -80,15 +84,14 @@ class TestEarlyStop:
         assert early_stop_check([1.0] * (CFG.early_stop_patience + 1), CFG) == "stop"
 
 
-def tiny_model(cell="gru", max_len=40, seed=0):
+def tiny_model(cell="gru", max_len=40, seed=0, hidden_dim=12):
     return build_model(
         ModelConfig(
             cell_kind=cell,
             embed_dim=8,
-            hidden_dim=12,
+            hidden_dim=hidden_dim,
             dense_dims=(8, 2) if cell == "gru" else (1,),
             dropout_rate=0.2 if cell == "gru" else 0.5,
-            output_kind="softmax_pair" if cell == "gru" else "sigmoid_scalar",
             max_len=max_len,
             seed=seed,
         )
@@ -146,6 +149,55 @@ class TestTrain:
         )
         for k in full.params:
             np.testing.assert_allclose(resumed.params[k], full.params[k], atol=1e-12)
+
+    def test_resume_after_crash_logs_each_epoch_once(self, tmp_path, monkeypatch):
+        pair = split(make_synthetic_corpus(100, 0.5, 6), 0.75, 6)
+        ck, hist = str(tmp_path / "ck"), tmp_path / "hist.jsonl"
+        save = train_module._save_checkpoint
+
+        def crash_at_epoch_1(path, m, best, adam, sched, epoch, *rest):
+            if epoch == 1:
+                raise OSError("disk full")
+            save(path, m, best, adam, sched, epoch, *rest)
+
+        monkeypatch.setattr(train_module, "_save_checkpoint", crash_at_epoch_1)
+        with pytest.raises(OSError):
+            train(tiny_model(seed=6), pair, TrainConfig(epochs=3, batch_size=50, seed=6),
+                  checkpoint_dir=ck, history_path=str(hist))
+        monkeypatch.setattr(train_module, "_save_checkpoint", save)
+        _, history = train(tiny_model(seed=6), pair, TrainConfig(epochs=3, batch_size=50, seed=6),
+                           checkpoint_dir=ck, resume=True, history_path=str(hist))
+        epochs = [json.loads(line)["epoch"] for line in hist.read_text().splitlines()]
+        assert epochs == [0, 1, 2]
+        assert [r.epoch for r in history] == [0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "change, fields",
+        [({"cell": "lstm"}, "cell_kind.*dense_dims.*dropout_rate"),
+         ({"hidden_dim": 16}, "hidden_dim 12 != 16")],
+    )
+    def test_resume_refuses_checkpoint_of_another_model(self, tmp_path, change, fields):
+        pair = split(make_synthetic_corpus(100, 0.5, 8), 0.75, 8)
+        train(tiny_model(seed=8), pair, TrainConfig(epochs=1, batch_size=50, seed=8),
+              checkpoint_dir=str(tmp_path))
+        other = tiny_model(seed=8, **change)
+        with pytest.raises(ConfigError, match=fields):
+            train(other, pair, TrainConfig(epochs=2, batch_size=50, seed=8),
+                  checkpoint_dir=str(tmp_path), resume=True)
+
+    def test_resume_refuses_checkpoint_without_config(self, tmp_path):
+        pair = split(make_synthetic_corpus(100, 0.5, 8), 0.75, 8)
+        cfg = TrainConfig(epochs=1, batch_size=50, seed=8)
+        train(tiny_model(seed=8), pair, cfg, checkpoint_dir=str(tmp_path))
+        state = tmp_path / "train_state.npz"
+        data = dict(np.load(state))
+        meta = json.loads(bytes(data["__meta__"]).decode())
+        del meta["config"]
+        data["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(state, **data)
+        with pytest.raises(ConfigError, match="no model config"):
+            train(tiny_model(seed=8), pair, TrainConfig(epochs=2, batch_size=50, seed=8),
+                  checkpoint_dir=str(tmp_path), resume=True)
 
     def test_checkpoints_pruned_to_best_and_latest(self, tmp_path):
         pair = split(make_synthetic_corpus(100, 0.5, 2), 0.75, 2)
