@@ -47,6 +47,5 @@ def encode_url(url: str, vocab: Vocab, max_len: int = 200) -> EncodedUrl:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     kept = url[:max_len]
     ids = np.full(max_len, PAD_ID, dtype=np.int64)
-    for i, ch in enumerate(kept):
-        ids[i] = vocab.id_for(ch)
+    ids[: len(kept)] = [vocab.mapping.get(ch, UNK_ID) for ch in kept]
     return EncodedUrl(ids=ids, true_len=len(kept))

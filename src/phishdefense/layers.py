@@ -39,6 +39,13 @@ row at each sorted position, or slice(None) when rows keep their order;
 "index", the flat (batch, time) position of each packed row, or None when
 the packed order is time-major; and "width", the time length of the
 input. The backward scan does not modify it.
+
+Forward-only scoring: `infer_scan` runs the same cell steps over the same
+sorted prefixes but keeps no cache. It folds the embedding into the input
+projection, T = embed W + b (vocab, G*h), once per call; step t looks its
+rows' projections up in T into one reused (batch, G*h) buffer, and the
+cell updates one (S, batch, h) state in place (a step's out may be its
+prev). Memory is O(vocab + batch) rows instead of O(sum(lens)).
 """
 
 from __future__ import annotations
@@ -135,12 +142,21 @@ class LstmParams(CellParams):
         """
         h = self.hidden_dim
         a += prev[0] @ self.U
-        a[:, : 2 * h] = sigmoid(a[:, : 2 * h])
-        np.tanh(a[:, 2 * h : 3 * h], out=a[:, 2 * h : 3 * h])
-        a[:, 3 * h :] = sigmoid(a[:, 3 * h :])
-        f, i, g, o = np.split(a, 4, axis=1)
-        out[1] = f * prev[1] + i * g
-        out[0] = o * np.tanh(out[1])
+        fi, o = a[:, : 2 * h], a[:, 3 * h :]
+        # sigmoid(x) = 0.5 * (1 + tanh(x / 2)) on f, i and o, tanh on g: one tanh pass
+        fi *= 0.5
+        o *= 0.5
+        np.tanh(a, out=a)
+        for s in (fi, o):
+            s += 1.0
+            s *= 0.5
+        f, i, g = fi[:, :h], fi[:, h:], a[:, 2 * h : 3 * h]
+        # out may be prev: h_prev is spent, and c is updated elementwise
+        np.multiply(i, g, out=out[0])
+        np.multiply(f, prev[1], out=out[1])
+        out[1] += out[0]
+        np.tanh(out[1], out=out[0])
+        out[0] *= o
 
     def step_grad(
         self,
@@ -184,11 +200,19 @@ class GruParams(CellParams):
         h_prev = prev[0]
         zr, g = a[:, : 2 * n], a[:, 2 * n :]
         zr += h_prev @ self.U[:, : 2 * n]
-        zr[:] = sigmoid(zr)
+        zr *= 0.5  # sigmoid(x) = 0.5 * (1 + tanh(x / 2))
+        np.tanh(zr, out=zr)
+        zr += 1.0
+        zr *= 0.5
         z, r = zr[:, :n], zr[:, n:]
-        g += (r * h_prev) @ self.U[:, 2 * n :]
+        rh = r * h_prev
+        g += rh @ self.U[:, 2 * n :]
         np.tanh(g, out=g)
-        out[0] = (1.0 - z) * g + z * h_prev
+        # out may be prev: z * h_prev is taken before out is written
+        zh = np.multiply(z, h_prev, out=rh)
+        np.subtract(1.0, z, out=out[0])
+        out[0] *= g
+        out[0] += zh
 
     def step_grad(
         self,
@@ -252,6 +276,25 @@ def gru_step(p: GruParams, x_t: np.ndarray, h_prev: np.ndarray) -> Tuple[np.ndar
     return out[0], {"z": z, "r": r, "h_tilde": h_tilde, "h": out[0]}
 
 
+def _length_order(
+    lens: Optional[np.ndarray], b: int, width: int, who: str
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
+    """Rows stably sorted longest first, when some row is shorter than width:
+    (order, sorted lengths, live (steps, batch), true where a row runs the
+    step); (None, None, None) when every row runs every step."""
+    if lens is None:
+        return None, None, None
+    lens = np.asarray(lens, dtype=np.int64)
+    if lens.shape != (b,):
+        raise ShapeError(f"{who}: lens shape {lens.shape} != batch ({b},)")
+    if lens.min() >= width:
+        return None, None, None
+    lens = np.clip(lens, 0, width)
+    order = np.argsort(-lens, kind="stable")
+    lens = lens[order]
+    return order, lens, np.arange(lens[0])[:, None] < lens[None, :]
+
+
 def _scan(
     p: CellParams,
     xs: np.ndarray,
@@ -269,20 +312,13 @@ def _scan(
     if d != p.input_dim:
         raise ShapeError(f"{who}: input dim {d} != expected {p.input_dim}")
     h = p.hidden_dim
-    order = index = None
+    order, lens, live = _length_order(lens, b, width, who)
+    index = None
     sizes = [b] * width
-    if lens is not None:
-        lens = np.asarray(lens, dtype=np.int64)
-        if lens.shape != (b,):
-            raise ShapeError(f"{who}: lens shape {lens.shape} != batch ({b},)")
-        if lens.min() < width:
-            lens = np.clip(lens, 0, width)
-            order = np.argsort(-lens, kind="stable")
-            lens = lens[order]
-            live = np.arange(lens[0])[:, None] < lens[None, :]
-            sizes = live.sum(axis=1).tolist()
-            steps, rank = np.nonzero(live)
-            index = order[rank] * width + steps
+    if order is not None:
+        sizes = live.sum(axis=1).tolist()
+        steps, rank = np.nonzero(live)
+        index = order[rank] * width + steps
     if index is None:
         x = xs.transpose(1, 0, 2).reshape(b * width, d)
     else:
@@ -384,15 +420,60 @@ def gru_backward(
     return _bptt(p, caches, d_h_final, "gru_backward")
 
 
-def embedding_forward(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Row lookup: ids (batch, time) -> (batch, time, embed_dim)."""
+def infer_scan(
+    p: CellParams, embed: np.ndarray, ids: np.ndarray, lens: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Forward-only scan of token ids (batch, time) with rows of lengths
+    lens, through the embedding table and the cell; returns the final h
+    (batch, h) in the caller's row order.
+
+    Keeps nothing for a backward pass: the input projection of every token
+    is a row of the folded table embed W + b, which step t looks up into
+    one reused (batch, G*h) buffer, and the step updates one (S, batch, h)
+    state in place on its live prefix of rows (rows sorted longest first,
+    as in the packed scan).
+    """
+    ids = _checked_ids(embed, ids)
+    if ids.ndim != 2 or ids.shape[1] == 0:
+        raise ShapeError(f"infer_scan: need (batch, time>=1) ids, got {ids.shape}")
+    if embed.shape[1] != p.input_dim:
+        raise ShapeError(f"infer_scan: embed dim {embed.shape[1]} != expected {p.input_dim}")
+    b, width = ids.shape
+    order, _, live = _length_order(lens, b, width, "infer_scan")
+    sizes = [b] * width
+    if order is not None:
+        sizes = live.sum(axis=1).tolist()
+        ids = ids[order]
+    by_step = np.ascontiguousarray(ids.T)  # step t reads row t
+    table = embed @ p.W
+    table += p.b
+    a = np.empty((b, table.shape[1]))
+    state = np.zeros((p.STATES, b, p.hidden_dim))
+    for t, n in enumerate(sizes):
+        # mode="clip" skips take's buffered range check; _checked_ids did it
+        np.take(table, by_step[t, :n], axis=0, out=a[:n], mode="clip")
+        p.step(a[:n], state[:, :n], state[:, :n])
+    if order is None:
+        return state[0]
+    h = np.empty((b, p.hidden_dim))
+    h[order] = state[0]
+    return h
+
+
+def _checked_ids(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """ids as int64, or IndexError if any is not a row of table."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise IndexError(
             f"token id out of range [0, {table.shape[0]}): "
             f"min {ids.min()}, max {ids.max()}"
         )
-    return table[ids]
+    return ids
+
+
+def embedding_forward(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Row lookup: ids (batch, time) -> (batch, time, embed_dim)."""
+    return table[_checked_ids(table, ids)]
 
 
 def embedding_backward(

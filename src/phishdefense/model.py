@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .layers import (
     embedding_forward,
     gru_backward,
     gru_forward,
+    infer_scan,
     lstm_backward,
     lstm_forward,
 )
@@ -128,30 +129,53 @@ def forward_batch(
     of the last dense layer.
     Returns per-example phishing probability in (0,1) plus caches for BPTT.
     """
-    cfg = m.config
+    ids = _trim(ids, lens)
+    # only train-mode dropout draws from the generator
+    rng = np.random.default_rng(seed) if mode == "train" else None
+    xs = embedding_forward(m.params["embed"], ids)
+    if m.config.cell_kind == "lstm":
+        (x, _), cell_caches = lstm_forward(m.cell, xs, lens)
+    else:
+        x, cell_caches = gru_forward(m.cell, xs, lens)
+    probs, dense_caches, drop_mask = _head(m, x, rng, mode)
+    caches = {"ids": ids, "cell": cell_caches, "dense": dense_caches,
+              "drop_mask": drop_mask, "probs": probs}
+    return probs, caches
+
+
+def score_batch(m: ModelGraph, ids: np.ndarray, lens: Optional[np.ndarray] = None) -> np.ndarray:
+    """Infer-mode phishing probabilities of a batch, equal to forward_batch's
+    within rounding, without its caches: the recurrence is the forward-only
+    `infer_scan` over the folded input projections."""
+    x = infer_scan(m.cell, m.params["embed"], _trim(ids, lens), lens)
+    return _head(m, x, None, "infer")[0]
+
+
+def _trim(ids: np.ndarray, lens: Optional[np.ndarray]) -> np.ndarray:
     ids = np.atleast_2d(np.asarray(ids, dtype=np.int64))
     if lens is not None:
         # columns beyond the longest row are padding: cut them, so a batch of
         # one URL takes the scan's full-length path
         ids = ids[:, : max(1, int(np.max(lens)))]
-    # only train-mode dropout draws from the generator
-    rng = np.random.default_rng(seed) if mode == "train" else None
-    xs = embedding_forward(m.params["embed"], ids)
-    if cfg.cell_kind == "lstm":
-        (x, _), cell_caches = lstm_forward(m.cell, xs, lens)
-    else:
-        x, cell_caches = gru_forward(m.cell, xs, lens)
-    caches: Dict = {"ids": ids, "cell": cell_caches, "dense": []}
+    return ids
+
+
+def _head(
+    m: ModelGraph, x: np.ndarray, rng: Optional[np.random.Generator], mode: str
+) -> Tuple[np.ndarray, List[Dict], Optional[np.ndarray]]:
+    """Dense head on the final hidden state x: hidden sigmoid layers, dropout
+    on the last layer's input, the linear last layer and the logit z @ w.
+    Returns (probabilities, per-layer dense caches, dropout mask)."""
+    cfg = m.config
+    dense = []
     last = len(cfg.dense_dims) - 1
     for k in range(last):
         x, dcache = dense_forward(m.params[f"dense{k}.w"], m.params[f"dense{k}.b"], x, "sigmoid")
-        caches["dense"].append(dcache)
-    x, caches["drop_mask"] = dropout(x, cfg.dropout_rate, rng, mode)
+        dense.append(dcache)
+    x, drop_mask = dropout(x, cfg.dropout_rate, rng, mode)
     z, dcache = dense_forward(m.params[f"dense{last}.w"], m.params[f"dense{last}.b"], x)
-    caches["dense"].append(dcache)
-    probs = sigmoid(z @ _LOGIT_WEIGHTS[cfg.dense_dims[-1]])
-    caches["probs"] = probs
-    return probs, caches
+    dense.append(dcache)
+    return sigmoid(z @ _LOGIT_WEIGHTS[cfg.dense_dims[-1]]), dense, drop_mask
 
 
 def bce_loss(y: np.ndarray, p: np.ndarray) -> Tuple[float, np.ndarray]:

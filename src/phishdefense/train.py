@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
@@ -13,7 +14,7 @@ import numpy as np
 from .codec import Vocab, default_vocab
 from .data import LabeledDataset, SplitPair, batches
 from .errors import ConfigError, DataError, NumericError
-from .model import ModelGraph, backward_batch, bce_loss, forward_batch, predict
+from .model import ModelGraph, backward_batch, bce_loss, forward_batch, predict, score_batch
 from .tensor import AdamState, adam_step
 
 IMPROVE_TOL = 1e-6
@@ -120,7 +121,7 @@ def early_stop_check(history: Sequence[float], cfg: TrainConfig) -> str:
 def _score(
     m: ModelGraph, ds: LabeledDataset, vocab: Vocab, threshold: float
 ) -> Tuple[Tuple[int, int, int, int], float]:
-    """The evaluation loop: one infer pass over ds in batches of EVAL_BATCH.
+    """The evaluation loop: one forward-only pass over ds in batches of EVAL_BATCH.
 
     Returns the confusion counts (TP, FP, TN, FN) at threshold and the mean
     binary cross-entropy.
@@ -128,7 +129,7 @@ def _score(
     tp = fp = tn = fn = 0
     total_loss = 0.0
     for ids, lens, labels in batches(ds, EVAL_BATCH, 0, vocab, m.config.max_len):
-        probs, _ = forward_batch(m, ids, lens)
+        probs = score_batch(m, ids, lens)
         loss, _ = bce_loss(labels.astype(np.float64), probs)
         total_loss += loss * len(labels)
         pred = (probs > threshold).astype(np.int64)
@@ -139,9 +140,25 @@ def _score(
     return (tp, fp, tn, fn), total_loss / len(ds)
 
 
+def _run_identity(m: ModelGraph, cfg: TrainConfig, data: SplitPair) -> Dict[str, Dict]:
+    """What a resumed run must share with its checkpoint, as JSON values:
+    the model config, the training config (all but epochs, so a run can be
+    extended) and SHA-256 digests of the train and test records."""
+    train_cfg = {k: v for k, v in asdict(cfg).items() if k != "epochs"}
+    digests = {
+        f"{name}_sha256": hashlib.sha256(
+            json.dumps([[url, int(label)] for url, label in ds.records]).encode()
+        ).hexdigest()
+        for name, ds in (("train", data.train), ("test", data.test))
+    }
+    return json.loads(json.dumps(
+        {"config": asdict(m.config), "train_config": train_cfg, "data": digests}
+    ))
+
+
 def _save_checkpoint(path: str, m: ModelGraph, best: ModelGraph, adam: AdamState,
                      sched: SchedulerState, epoch: int, best_val_acc: float,
-                     history: List[EpochRecord]) -> None:
+                     history: List[EpochRecord], run: Dict[str, Dict]) -> None:
     from .store import save_model
 
     tensors = {f"cur.{k}": v for k, v in m.params.items()}
@@ -150,7 +167,7 @@ def _save_checkpoint(path: str, m: ModelGraph, best: ModelGraph, adam: AdamState
     tensors.update({f"m2.{k}": v for k, v in adam.second_moment.items()})
     meta = json.dumps(
         {
-            "config": asdict(m.config),
+            **run,
             "epoch": epoch,
             "adam": {"alpha": adam.alpha, "beta1": adam.beta1, "beta2": adam.beta2,
                      "epsilon": adam.epsilon, "step": adam.step},
@@ -183,19 +200,21 @@ def _write_history(fh, records: Sequence[EpochRecord]) -> None:
     fh.flush()
 
 
-def _load_checkpoint(path: str, m: ModelGraph):
+_RUN_PARTS = {"config": "model config", "train_config": "training config", "data": "data digest"}
+
+
+def _load_checkpoint(path: str, m: ModelGraph, run: Dict[str, Dict]):
     data = np.load(path)
     meta = json.loads(bytes(data["__meta__"]).decode())
-    saved = meta.get("config")
-    if saved is None:
-        raise ConfigError(f"{path}: checkpoint records no model config, cannot resume")
-    want = json.loads(json.dumps(asdict(m.config)))
-    differ = sorted(k for k in want.keys() | saved.keys() if want.get(k) != saved.get(k))
+    differ = []
+    for part, what in _RUN_PARTS.items():
+        saved, want = meta.get(part), run[part]
+        if saved is None:
+            raise ConfigError(f"{path}: checkpoint records no {what}, cannot resume")
+        differ += [f"{k} {saved.get(k)!r} != {want.get(k)!r}"
+                   for k in sorted(want.keys() | saved.keys()) if want.get(k) != saved.get(k)]
     if differ:
-        raise ConfigError(
-            f"{path}: checkpoint is from a different model: "
-            + ", ".join(f"{k} {saved.get(k)!r} != {want.get(k)!r}" for k in differ)
-        )
+        raise ConfigError(f"{path}: checkpoint is from a different run: " + ", ".join(differ))
     cur = {k[len("cur."):]: data[k] for k in data.files if k.startswith("cur.")}
     best = {k[len("best."):]: data[k] for k in data.files if k.startswith("best.")}
     adam = AdamState(**meta["adam"])
@@ -236,9 +255,10 @@ def train(
     if checkpoint_dir:
         os.makedirs(checkpoint_dir, exist_ok=True)
         state_path = os.path.join(checkpoint_dir, "train_state.npz")
+        run = _run_identity(model, cfg, data)
         if resume and os.path.exists(state_path):
             best_model, adam, sched, last_epoch, best_val_acc, history = _load_checkpoint(
-                state_path, model
+                state_path, model, run
             )
             start_epoch = last_epoch + 1
     n_train = len(data.train)
@@ -298,7 +318,7 @@ def train(
             adam.alpha = sched.current_lr
             if state_path:
                 _save_checkpoint(
-                    state_path, model, best_model, adam, sched, epoch, best_val_acc, history
+                    state_path, model, best_model, adam, sched, epoch, best_val_acc, history, run
                 )
             if early_stop_check([r.train_loss for r in history], cfg) == "stop":
                 break

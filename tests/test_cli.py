@@ -88,6 +88,20 @@ class TestTrainCommand:
         assert "error:" in err and "cell_kind" in err
         assert "Traceback" not in err
 
+    def test_resume_with_another_lr_and_corpus_exits_1(self, tmp_path, capsys):
+        args = ["train", "--seed", "2", "--batch", "20", "--hidden", "4", "--embed", "3",
+                "--max-len", "20", "--workdir", str(tmp_path / "work"),
+                "--out", str(tmp_path / "m.pdm")]
+        assert run_cli(args + ["--synthetic", "40", "--epochs", "1"])[0] == 0
+        capsys.readouterr()
+        code, stdout = run_cli(args + ["--synthetic", "80", "--epochs", "2", "--lr", "0.5",
+                                       "--resume"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert stdout == ""
+        assert "error:" in err and "initial_lr" in err and "train_sha256" in err
+        assert "Traceback" not in err
+
 
 class TestPredictCommand:
     def test_tie_break_on_neutral_url(self, fixture_model_path):

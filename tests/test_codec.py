@@ -73,6 +73,13 @@ class TestEncodeUrl:
         b = encode_url(s, VOCAB, 12)
         assert np.array_equal(a.ids, b.ids) and a.true_len == b.true_len
 
+    @given(st.text(max_size=40), st.integers(1, 30))
+    def test_equals_per_character_lookup(self, s, max_len):
+        want = [VOCAB.id_for(ch) for ch in s[:max_len]]
+        enc = encode_url(s, VOCAB, max_len)
+        assert enc.ids.tolist() == want + [PAD_ID] * (max_len - len(want))
+        assert enc.true_len == len(want)
+
     @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=19))
     def test_round_trip_printable_ascii(self, s):
         assert decode_ids(encode_url(s, VOCAB, 20), VOCAB) == s

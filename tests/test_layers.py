@@ -14,6 +14,7 @@ from phishdefense.layers import (
     gru_backward,
     gru_forward,
     gru_step,
+    infer_scan,
     lstm_backward,
     lstm_forward,
     lstm_step,
@@ -343,6 +344,28 @@ class TestPackedScan:
             num = fd[name]
             err = np.abs(num - ana) / np.maximum(np.abs(num), 1e-7)
             assert np.max(err) < 1e-4, name
+
+
+@pytest.mark.parametrize("params", [LstmParams, GruParams])
+class TestInferScan:
+    def test_step_in_place_equals_fresh_out(self, params, rng):
+        # infer_scan updates its state in place: out is prev
+        p = params.init(3, 5, seed=21)
+        a = rng.standard_normal((4, 3)) @ p.W + p.b
+        prev = rng.standard_normal((params.STATES, 4, 5))
+        a_fresh, fresh = a.copy(), np.empty_like(prev)
+        p.step(a_fresh, prev.copy(), fresh)
+        state = prev.copy()
+        p.step(a, state, state)
+        np.testing.assert_array_equal(state, fresh)
+        np.testing.assert_array_equal(a, a_fresh)
+
+    def test_ids_out_of_range(self, params):
+        p = params.init(3, 4, seed=2)
+        embed = np.zeros((5, 3))
+        for bad in (5, -1):  # a bare np.take would wrap -1 to the last row
+            with pytest.raises(IndexError):
+                infer_scan(p, embed, np.array([[1, bad]]), np.array([2]))
 
 
 class TestEmbedding:

@@ -1,5 +1,6 @@
 import importlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from phishdefense.codec import default_vocab
 from phishdefense.data import LabeledDataset, split
 from phishdefense.errors import ConfigError
-from phishdefense.model import ModelConfig, build_model, forward_batch
+from phishdefense.model import ModelConfig, build_model, forward_batch, score_batch
 from phishdefense.train import (
     SchedulerState,
     TrainConfig,
@@ -199,6 +200,25 @@ class TestTrain:
             train(tiny_model(seed=8), pair, TrainConfig(epochs=2, batch_size=50, seed=8),
                   checkpoint_dir=str(tmp_path), resume=True)
 
+    @pytest.mark.parametrize(
+        "change, fields",
+        [({"initial_lr": 0.5}, r"initial_lr 0\.001 != 0\.5$"),
+         ({"batch_size": 40}, r"batch_size 50 != 40$"),
+         ({"corpus": 120}, r"test_sha256 '\w+' != '\w+', train_sha256 '\w+' != '\w+'$"),
+         ({"initial_lr": 0.5, "corpus": 120},
+          r"initial_lr 0\.001 != 0\.5, test_sha256 .*, train_sha256")],
+    )
+    def test_resume_refuses_another_training_config_or_data(self, tmp_path, change, fields):
+        first = split(make_synthetic_corpus(100, 0.5, 8), 0.75, 8)
+        train(tiny_model(seed=8), first, TrainConfig(epochs=1, batch_size=50, seed=8),
+              checkpoint_dir=str(tmp_path))
+        change = dict(change)
+        pair = split(make_synthetic_corpus(change.pop("corpus", 100), 0.5, 8), 0.75, 8)
+        # epochs differs in every case: extending a run is allowed
+        cfg = TrainConfig(**{"epochs": 2, "batch_size": 50, "seed": 8, **change})
+        with pytest.raises(ConfigError, match=fields):
+            train(tiny_model(seed=8), pair, cfg, checkpoint_dir=str(tmp_path), resume=True)
+
     def test_checkpoints_pruned_to_best_and_latest(self, tmp_path):
         pair = split(make_synthetic_corpus(100, 0.5, 2), 0.75, 2)
         cfg = TrainConfig(epochs=4, batch_size=50, seed=2)
@@ -248,6 +268,55 @@ class TestEvaluate:
             assert report.f_score == pytest.approx(
                 2 * report.precision * report.recall / (report.precision + report.recall)
             )
+
+
+def random_batch(rng, lens, width=20):
+    ids = np.zeros((len(lens), width), dtype=np.int64)
+    for row, n in enumerate(lens):
+        ids[row, :n] = rng.integers(2, VOCAB.size, n)
+    return ids, np.array(lens)
+
+
+SCORE_BATCHES = {
+    "mixed": [5, 0, 20, 13, 1, 20, 7],
+    "all_full": [20, 20, 20],
+    "single": [7],
+    "all_empty": [0, 0, 0, 0],
+}
+
+
+class TestScoreBatch:
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    @pytest.mark.parametrize("batch", SCORE_BATCHES)
+    def test_matches_forward_batch(self, cell, batch, rng):
+        m = tiny_model(cell, seed=4)
+        ids, lens = random_batch(rng, SCORE_BATCHES[batch])
+        want, _ = forward_batch(m, ids, lens, mode="infer")
+        got = score_batch(m, ids, lens)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(got > 0.5, want > 0.5)
+
+    def test_evaluate_rejects_ids_beyond_vocab(self):
+        m = build_model(ModelConfig(vocab_size=50, embed_dim=4, hidden_dim=4, dense_dims=(1,)))
+        with pytest.raises(IndexError):
+            evaluate(m, LabeledDataset([("http://a.com/~zz", 1), ("b", 0)]))
+
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    def test_evaluate_keeps_no_scan_cache(self, cell, rng):
+        # 300 URLs of 200 characters: one packed activation buffer of the
+        # scan's backward cache would take sum(lens) * G * h * 8 bytes
+        m = tiny_model(cell, max_len=200)
+        letters = np.array(list("abcdefghijklmnopqrstuvwxyz./-"))
+        ds = LabeledDataset([("".join(rng.choice(letters, 200)), k % 2) for k in range(300)])
+        acts_bytes = 300 * 200 * len(m.cell.GATES) * m.config.hidden_dim * 8
+        evaluate(m, ds)
+        tracemalloc.start()
+        try:
+            evaluate(m, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < acts_bytes
 
 
 class TestSyntheticCorpus:
