@@ -243,7 +243,8 @@ def make_handler(model: ModelGraph, threshold: float):
                 url = payload["url"]
                 if not isinstance(url, str):
                     raise TypeError("url must be a string")
-            except (ValueError, KeyError, TypeError) as e:
+            except (ValueError, KeyError, TypeError, RecursionError) as e:
+                # RecursionError: json nests deeper than the parser's stack
                 self._reply(400, {"error": f"bad request: {e}"})
                 return
             try:

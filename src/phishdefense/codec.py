@@ -18,9 +18,6 @@ class Vocab:
     size: int
     mapping: Dict[str, int]
 
-    def id_for(self, ch: str) -> int:
-        return self.mapping.get(ch, UNK_ID)
-
 
 @dataclass(frozen=True)
 class EncodedUrl:

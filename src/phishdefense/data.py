@@ -17,7 +17,6 @@ _LABEL_TOKENS = {"0": 0, "1": 1, "legitimate": 0, "phishing": 1}
 @dataclass
 class LabeledDataset:
     records: List[Tuple[str, int]]
-    source_tag: str = ""
 
     def __len__(self) -> int:
         return len(self.records)
@@ -30,8 +29,6 @@ class LabeledDataset:
 class SplitPair:
     train: LabeledDataset
     test: LabeledDataset
-    seed: int
-    ratio: float
 
 
 def load_csv(path: str, allow_empty_url: bool = False, dedup: bool = False) -> LabeledDataset:
@@ -69,7 +66,7 @@ def load_csv(path: str, allow_empty_url: bool = False, dedup: bool = False) -> L
                 seen.add(url)
                 unique.append((url, lab))
         records = unique
-    return LabeledDataset(records=records, source_tag=path)
+    return LabeledDataset(records=records)
 
 
 def split(
@@ -110,15 +107,8 @@ def split(
     else:
         perm = rng.permutation(n)
         order_train, order_test = perm[:n_train], perm[n_train:]
-    mk = lambda idx, tag: LabeledDataset(
-        records=[ds.records[i] for i in idx], source_tag=f"{ds.source_tag}{tag}"
-    )
-    return SplitPair(
-        train=mk(order_train, "#train"),
-        test=mk(order_test, "#test"),
-        seed=seed,
-        ratio=ratio,
-    )
+    mk = lambda idx: LabeledDataset(records=[ds.records[i] for i in idx])
+    return SplitPair(train=mk(order_train), test=mk(order_test))
 
 
 def batches(

@@ -22,7 +22,7 @@ class DataError(PhishDefenseError):
 
 
 class ModelFormatError(PhishDefenseError):
-    """Serialized model file is not a valid PDM1 file."""
+    """A PDM1 model file or a training checkpoint is not valid."""
 
 
 class ModelCorruptionError(ModelFormatError):

@@ -4,10 +4,10 @@ Both recurrent cells run through one forward scan (`_scan`) and one
 backward scan (`_bptt`); a cell contributes only its gate equations
 (`step`) and their derivatives (`step_grad`).
 
-Fused gate layout: a cell keeps W (d, G*h), U (h, G*h) and b (G*h,), one
-h-wide block per gate, side by side in the PDM1 order -- "fico" for the
-LSTM (forget, input, candidate, output) and "zrh" for the GRU (update,
-reset, candidate). W_f, U_z, b_h, ... are views of their block.
+Gate layout: a cell keeps W (d, G*h), U (h, G*h) and b (G*h,), one h-wide
+block per gate, side by side in the PDM1 order -- "fico" for the LSTM
+(forget, input, candidate, output) and "zrh" for the GRU (update, reset,
+candidate).
 
 Packed variable lengths: the scan runs each row only over its own length.
 Rows are stably sorted longest first, so step t works on a prefix of n_t
@@ -16,9 +16,7 @@ are the per-step row counts, "sizes"). Inputs and gate activations live in
 packed buffers of sum(lens) rows, where step t owns the contiguous block
 of n_t rows at offset n_0 + ... + n_{t-1}. Finished rows are not touched;
 a row's final state is read at its own last step and returned in the
-caller's row order. When every row runs every step (no lengths, or none
-shorter than the input), the rows keep their order and the packed layout
-is the time-major one, with no sort and no gather.
+caller's row order. Without lengths every row runs every step.
 
 Input projection: `_scan` computes x W + b for all packed rows in one GEMM
 before the time loop; each step then adds the recurrent term, one GEMM
@@ -35,10 +33,9 @@ inputs (sum(lens), d); "acts", the packed gate activations
 states of all rows in sorted order first and then one block per step
 holding that step's output (S = 2 for the LSTM's h and c, 1 for the GRU's
 h); "sizes", the per-step row counts as Python ints; "rows", the caller
-row at each sorted position, or slice(None) when rows keep their order;
-"index", the flat (batch, time) position of each packed row, or None when
-the packed order is time-major; and "width", the time length of the
-input. The backward scan does not modify it.
+row at each sorted position; "index", the flat (batch, time) position of
+each packed row; and "width", the time length of the input. The backward
+scan does not modify it.
 
 Forward-only scoring: `infer_scan` runs the same cell steps over the same
 sorted prefixes but keeps no cache. It folds the embedding into the input
@@ -62,25 +59,14 @@ Cache = Dict[str, Any]
 
 
 class CellParams:
-    """Fused input weights W (d x G*h), recurrent weights U (h x G*h), biases b (G*h,)."""
+    """Input weights W (d x G*h), recurrent weights U (h x G*h), biases b (G*h,)."""
 
     GATES = ""  # one letter per gate block, in PDM1 order
     STATES = 1  # state vectors carried per row
 
-    def __init__(self, **tensors: np.ndarray) -> None:
-        """Fuse per-gate tensors W_<g>, U_<g>, b_<g> (copied) into W, U, b."""
-        for kind in "WUb":
-            blocks = [np.asarray(tensors[f"{kind}_{g}"], dtype=np.float64) for g in self.GATES]
-            setattr(self, kind, np.concatenate(blocks, axis=-1))
-
-    def __getattr__(self, name: str) -> np.ndarray:
-        # W_f, U_z, b_h, ...: a writable view of that gate's block
-        kind, _, gate = name.partition("_")
-        k = self.GATES.find(gate) if kind in ("W", "U", "b") and len(gate) == 1 else -1
-        if k < 0:
-            raise AttributeError(name)
-        h = self.hidden_dim
-        return getattr(self, kind)[..., k * h : (k + 1) * h]
+    def __init__(self, W: np.ndarray, U: np.ndarray, b: np.ndarray) -> None:
+        """Wrap the gate-stacked arrays without copying them."""
+        self.W, self.U, self.b = W, U, b
 
     @property
     def input_dim(self) -> int:
@@ -91,39 +77,33 @@ class CellParams:
         return self.U.shape[0]
 
     @classmethod
-    def tensor_names(cls) -> Tuple[str, ...]:
-        return tuple(f"{kind}_{g}" for kind in "WUb" for g in cls.GATES)
-
-    @classmethod
     def shapes(cls, input_dim: int, hidden_dim: int) -> List[Tuple[str, Tuple[int, ...]]]:
-        """(name, shape) of every per-gate tensor, in tensor_names() order."""
+        """(name, shape) of every per-gate tensor W_<g>, U_<g>, b_<g>, in PDM1 order."""
         dims = {"W": (input_dim, hidden_dim), "U": (hidden_dim, hidden_dim), "b": (hidden_dim,)}
-        return [(n, dims[n[0]]) for n in cls.tensor_names()]
+        return [(f"{kind}_{g}", dims[kind]) for kind in "WUb" for g in cls.GATES]
 
     @classmethod
     def init(cls, input_dim: int, hidden_dim: int, seed: int) -> "CellParams":
         """Xavier input weights, orthogonal recurrent weights, zero biases."""
         g = len(cls.GATES)
-        tensors = {}
-        for k, gate in enumerate(cls.GATES):
-            tensors[f"W_{gate}"] = xavier_init(input_dim, hidden_dim, seed * 2 * g + k)
-            tensors[f"U_{gate}"] = orthogonal_init(hidden_dim, hidden_dim, seed * 2 * g + g + k)
-            tensors[f"b_{gate}"] = np.zeros(hidden_dim)
-        return cls(**tensors)
-
-    @classmethod
-    def fused(cls, W: np.ndarray, U: np.ndarray, b: np.ndarray) -> "CellParams":
-        """Wrap already fused arrays without copying them."""
-        p = cls.__new__(cls)
-        p.W, p.U, p.b = W, U, b
-        return p
+        W = [xavier_init(input_dim, hidden_dim, seed * 2 * g + k) for k in range(g)]
+        U = [orthogonal_init(hidden_dim, hidden_dim, seed * 2 * g + g + k) for k in range(g)]
+        return cls(np.concatenate(W, axis=1), np.concatenate(U, axis=1), np.zeros(g * hidden_dim))
 
     @classmethod
     def from_dict(cls, params: ParamSet, prefix: str = "") -> "CellParams":
-        return cls(**{n: params[prefix + n] for n in cls.tensor_names()})
+        """Join the per-gate tensors <prefix>W_<g>, U_<g>, b_<g> into new arrays."""
+        return cls(*(
+            np.concatenate([np.asarray(params[f"{prefix}{kind}_{g}"], dtype=np.float64)
+                            for g in cls.GATES], axis=-1)
+            for kind in "WUb"
+        ))
 
     def to_dict(self, prefix: str = "") -> ParamSet:
-        return {prefix + n: getattr(self, n) for n in self.tensor_names()}
+        """Split into the per-gate tensors, each a writable view of its block, in shapes() order."""
+        h = self.hidden_dim
+        return {f"{prefix}{kind}_{g}": getattr(self, kind)[..., k * h : (k + 1) * h]
+                for kind in "WUb" for k, g in enumerate(self.GATES)}
 
 
 class LstmParams(CellParams):
@@ -242,53 +222,15 @@ class GruParams(CellParams):
 CELLS = {"lstm": LstmParams, "gru": GruParams}
 
 
-def _step_inputs(
-    p: CellParams, x_t: np.ndarray, state: Sequence[np.ndarray], who: str
-) -> Tuple[np.ndarray, np.ndarray]:
-    x_t = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
-    if x_t.shape[1] != p.input_dim:
-        raise ShapeError(f"{who}: input dim {x_t.shape[1]} != expected {p.input_dim}")
-    state = [np.atleast_2d(np.asarray(s, dtype=np.float64)) for s in state]
-    if any(s.shape[1] != p.hidden_dim for s in state):
-        raise ShapeError(
-            f"{who}: state dims {[s.shape for s in state]} != hidden {p.hidden_dim}"
-        )
-    return x_t @ p.W + p.b, np.stack(np.broadcast_arrays(*state))
-
-
-def lstm_step(
-    p: LstmParams, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, Cache]:
-    """One LSTM step through the cell the scan runs; returns (h, c, gates)."""
-    a, prev = _step_inputs(p, x_t, (h_prev, c_prev), "lstm_step")
-    out = np.empty((2, a.shape[0], p.hidden_dim))
-    p.step(a, prev, out)
-    f, i, c_tilde, o = np.split(a, 4, axis=1)
-    return out[0], out[1], {"f": f, "i": i, "c_tilde": c_tilde, "o": o, "c": out[1], "h": out[0]}
-
-
-def gru_step(p: GruParams, x_t: np.ndarray, h_prev: np.ndarray) -> Tuple[np.ndarray, Cache]:
-    """One GRU step through the cell the scan runs; returns (h, gates)."""
-    a, prev = _step_inputs(p, x_t, (h_prev,), "gru_step")
-    out = np.empty((1, a.shape[0], p.hidden_dim))
-    p.step(a, prev, out)
-    z, r, h_tilde = np.split(a, 3, axis=1)
-    return out[0], {"z": z, "r": r, "h_tilde": h_tilde, "h": out[0]}
-
-
 def _length_order(
     lens: Optional[np.ndarray], b: int, width: int, who: str
-) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
-    """Rows stably sorted longest first, when some row is shorter than width:
-    (order, sorted lengths, live (steps, batch), true where a row runs the
-    step); (None, None, None) when every row runs every step."""
-    if lens is None:
-        return None, None, None
-    lens = np.asarray(lens, dtype=np.int64)
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows stably sorted longest first: (order, sorted lengths, live
+    (steps, batch), true where a row runs the step). Lengths are clipped to
+    width; no lens means every row runs all width steps."""
+    lens = np.full(b, width) if lens is None else np.asarray(lens, dtype=np.int64)
     if lens.shape != (b,):
         raise ShapeError(f"{who}: lens shape {lens.shape} != batch ({b},)")
-    if lens.min() >= width:
-        return None, None, None
     lens = np.clip(lens, 0, width)
     order = np.argsort(-lens, kind="stable")
     lens = lens[order]
@@ -313,35 +255,26 @@ def _scan(
         raise ShapeError(f"{who}: input dim {d} != expected {p.input_dim}")
     h = p.hidden_dim
     order, lens, live = _length_order(lens, b, width, who)
-    index = None
-    sizes = [b] * width
-    if order is not None:
-        sizes = live.sum(axis=1).tolist()
-        steps, rank = np.nonzero(live)
-        index = order[rank] * width + steps
-    if index is None:
-        x = xs.transpose(1, 0, 2).reshape(b * width, d)
-    else:
-        x = xs.reshape(b * width, d)[index]
+    sizes = live.sum(axis=1).tolist()
+    steps, rank = np.nonzero(live)
+    index = order[rank] * width + steps
+    x = xs.reshape(b * width, d)[index]
     acts = x @ p.W
     acts += p.b
-    rows = slice(None) if order is None else order
     states = np.empty((p.STATES, b + len(x), h))
     for k, s0 in enumerate(state0):
-        states[k, :b] = 0.0 if s0 is None else np.broadcast_to(s0, (b, h))[rows]
+        states[k, :b] = 0.0 if s0 is None else np.broadcast_to(s0, (b, h))[order]
     # state block t starts at bounds[t]: block 0 holds the b initial states,
     # block t + 1 the n_t outputs of step t, whose packed rows start at bounds[t + 1] - b
     bounds = [0, *accumulate(sizes, initial=b)]
     for t, n in enumerate(sizes):
         prev, out = bounds[t], bounds[t + 1]
         p.step(acts[out - b : out - b + n], states[:, prev : prev + n], states[:, out : out + n])
-    if order is None:
-        final = states[:, bounds[-2] :]
-    else:  # each row's state after its own last step, back in caller order
-        final = np.empty((p.STATES, b, h))
-        final[:, order] = states[:, np.array(bounds[:-1])[lens] + np.arange(b)]
+    # each row's state after its own last step, back in caller order
+    final = np.empty((p.STATES, b, h))
+    final[:, order] = states[:, np.array(bounds[:-1])[lens] + np.arange(b)]
     cache = {"x": x, "acts": acts, "states": states, "sizes": sizes,
-             "rows": rows, "index": index, "width": width}
+             "rows": order, "index": index, "width": width}
     return final, cache
 
 
@@ -373,14 +306,9 @@ def _bptt(
             dpre[out - b : out - b + n],
             dU,
         )
-    dx = dpre @ p.W.T
-    if index is None:
-        dxs = dx.reshape(width, b, -1).transpose(1, 0, 2)
-    else:
-        dxs = np.zeros((b * width, p.input_dim))
-        dxs[index] = dx
-        dxs = dxs.reshape(b, width, -1)
-    return type(p).fused(x.T @ dpre, dU, dpre.sum(axis=0)).to_dict(), dxs
+    dxs = np.zeros((b * width, p.input_dim))
+    dxs[index] = dpre @ p.W.T
+    return type(p)(x.T @ dpre, dU, dpre.sum(axis=0)).to_dict(), dxs.reshape(b, width, -1)
 
 
 def lstm_forward(
@@ -440,11 +368,8 @@ def infer_scan(
         raise ShapeError(f"infer_scan: embed dim {embed.shape[1]} != expected {p.input_dim}")
     b, width = ids.shape
     order, _, live = _length_order(lens, b, width, "infer_scan")
-    sizes = [b] * width
-    if order is not None:
-        sizes = live.sum(axis=1).tolist()
-        ids = ids[order]
-    by_step = np.ascontiguousarray(ids.T)  # step t reads row t
+    sizes = live.sum(axis=1).tolist()
+    by_step = np.ascontiguousarray(ids[order].T)  # step t reads row t
     table = embed @ p.W
     table += p.b
     a = np.empty((b, table.shape[1]))
@@ -453,8 +378,6 @@ def infer_scan(
         # mode="clip" skips take's buffered range check; _checked_ids did it
         np.take(table, by_step[t, :n], axis=0, out=a[:n], mode="clip")
         p.step(a[:n], state[:, :n], state[:, :n])
-    if order is None:
-        return state[0]
     h = np.empty((b, p.hidden_dim))
     h[order] = state[0]
     return h

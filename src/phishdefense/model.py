@@ -88,9 +88,6 @@ class ModelGraph:
     def cell(self):
         return CELLS[self.config.cell_kind].from_dict(self.params, "cell.")
 
-    def param_count(self) -> int:
-        return sum(v.size for v in self.params.values())
-
     def copy(self) -> "ModelGraph":
         return ModelGraph(
             config=self.config,
@@ -154,8 +151,7 @@ def score_batch(m: ModelGraph, ids: np.ndarray, lens: Optional[np.ndarray] = Non
 def _trim(ids: np.ndarray, lens: Optional[np.ndarray]) -> np.ndarray:
     ids = np.atleast_2d(np.asarray(ids, dtype=np.int64))
     if lens is not None:
-        # columns beyond the longest row are padding: cut them, so a batch of
-        # one URL takes the scan's full-length path
+        # columns beyond the longest row are padding: cut them
         ids = ids[:, : max(1, int(np.max(lens)))]
     return ids
 

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import time
+import zipfile
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from .codec import Vocab, default_vocab
 from .data import LabeledDataset, SplitPair, batches
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, ModelFormatError, NumericError
 from .model import ModelGraph, backward_batch, bce_loss, forward_batch, predict, score_batch
 from .tensor import AdamState, adam_step
 
@@ -204,8 +205,12 @@ _RUN_PARTS = {"config": "model config", "train_config": "training config", "data
 
 
 def _load_checkpoint(path: str, m: ModelGraph, run: Dict[str, Dict]):
-    data = np.load(path)
-    meta = json.loads(bytes(data["__meta__"]).decode())
+    try:  # np.load reads members lazily: the member reads can fail too
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["__meta__"]).decode())
+            tensors = {k: data[k] for k in data.files if k != "__meta__"}
+    except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as e:
+        raise ModelFormatError(f"{path}: unreadable training checkpoint: {e!r}") from e
     differ = []
     for part, what in _RUN_PARTS.items():
         saved, want = meta.get(part), run[part]
@@ -215,15 +220,23 @@ def _load_checkpoint(path: str, m: ModelGraph, run: Dict[str, Dict]):
                    for k in sorted(want.keys() | saved.keys()) if want.get(k) != saved.get(k)]
     if differ:
         raise ConfigError(f"{path}: checkpoint is from a different run: " + ", ".join(differ))
-    cur = {k[len("cur."):]: data[k] for k in data.files if k.startswith("cur.")}
-    best = {k[len("best."):]: data[k] for k in data.files if k.startswith("best.")}
+    # each group must hold exactly the model's parameters, with their shapes
+    shapes = {k: v.shape for k, v in m.params.items()}
+    groups = {}
+    for part in ("cur", "best", "m1", "m2"):
+        groups[part] = {k[len(part) + 1:]: v for k, v in tensors.items() if k.startswith(part + ".")}
+        got = {k: v.shape for k, v in groups[part].items()}
+        bad = [f"{part}.{k}" for k in sorted(shapes.keys() | got.keys()) if shapes.get(k) != got.get(k)]
+        if bad:
+            raise ModelFormatError(
+                f"{path}: checkpoint tensors do not match the model's parameters: " + ", ".join(bad)
+            )
     adam = AdamState(**meta["adam"])
-    adam.first_moment = {k[len("m1."):]: data[k].copy() for k in data.files if k.startswith("m1.")}
-    adam.second_moment = {k[len("m2."):]: data[k].copy() for k in data.files if k.startswith("m2.")}
+    adam.first_moment, adam.second_moment = groups["m1"], groups["m2"]
     sched = SchedulerState(**meta["sched"])
     history = [EpochRecord(**r) for r in meta["history"]]
-    m.params = {k: v.copy() for k, v in cur.items()}
-    best_model = ModelGraph(config=m.config, params={k: v.copy() for k, v in best.items()})
+    m.params = groups["cur"]
+    best_model = ModelGraph(config=m.config, params=groups["best"])
     return best_model, adam, sched, meta["epoch"], meta["best_val_acc"], history
 
 
@@ -413,9 +426,7 @@ def make_synthetic_corpus(n: int, phish_fraction: float, seed: int) -> LabeledDa
     records = [(_phish_url(rng), 1) for _ in range(n_phish)]
     records += [(_legit_url(rng), 0) for _ in range(n - n_phish)]
     order = rng.permutation(len(records))
-    return LabeledDataset(
-        records=[records[i] for i in order], source_tag=f"synthetic(n={n},seed={seed})"
-    )
+    return LabeledDataset(records=[records[i] for i in order])
 
 
 def bench_inference(

@@ -61,6 +61,13 @@ def finite_diff_grad(loss_fn, params, h: float = 1e-5):
     return grads
 
 
+def id_for(vocab, ch: str) -> int:
+    """The token id of one character; UNK for anything outside the vocabulary."""
+    from phishdefense.codec import UNK_ID
+
+    return vocab.mapping.get(ch, UNK_ID)
+
+
 def char_for(vocab, token_id: int) -> str:
     """Inverse lookup for printable ids; PAD/UNK have no character."""
     if 2 <= token_id <= vocab.size - 1:
@@ -71,6 +78,48 @@ def char_for(vocab, token_id: int) -> str:
 def decode_ids(enc, vocab) -> str:
     """Inverse of encode_url for printable-ASCII input (UNK is not invertible)."""
     return "".join(char_for(vocab, int(t)) for t in enc.ids[: enc.true_len])
+
+
+def param_count(m) -> int:
+    """Number of scalar parameters of a model graph."""
+    return sum(v.size for v in m.params.values())
+
+
+def gate(p, name: str) -> np.ndarray:
+    """A writable view of one per-gate tensor of a cell, e.g. gate(p, "b_f")."""
+    return p.to_dict()[name]
+
+
+def _step_inputs(p, x_t, state, who):
+    from phishdefense.errors import ShapeError
+
+    x_t = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
+    if x_t.shape[1] != p.input_dim:
+        raise ShapeError(f"{who}: input dim {x_t.shape[1]} != expected {p.input_dim}")
+    state = [np.atleast_2d(np.asarray(s, dtype=np.float64)) for s in state]
+    if any(s.shape[1] != p.hidden_dim for s in state):
+        raise ShapeError(
+            f"{who}: state dims {[s.shape for s in state]} != hidden {p.hidden_dim}"
+        )
+    return x_t @ p.W + p.b, np.stack(np.broadcast_arrays(*state))
+
+
+def lstm_step(p, x_t, h_prev, c_prev):
+    """One LSTM step through the cell the scan runs; returns (h, c, gates)."""
+    a, prev = _step_inputs(p, x_t, (h_prev, c_prev), "lstm_step")
+    out = np.empty((2, a.shape[0], p.hidden_dim))
+    p.step(a, prev, out)
+    f, i, c_tilde, o = np.split(a, 4, axis=1)
+    return out[0], out[1], {"f": f, "i": i, "c_tilde": c_tilde, "o": o, "c": out[1], "h": out[0]}
+
+
+def gru_step(p, x_t, h_prev):
+    """One GRU step through the cell the scan runs; returns (h, gates)."""
+    a, prev = _step_inputs(p, x_t, (h_prev,), "gru_step")
+    out = np.empty((1, a.shape[0], p.hidden_dim))
+    p.step(a, prev, out)
+    z, r, h_tilde = np.split(a, 3, axis=1)
+    return out[0], {"z": z, "r": r, "h_tilde": h_tilde, "h": out[0]}
 
 
 def scalar_sigmoid(x: float) -> float:
@@ -85,7 +134,8 @@ def oracle_lstm_step(p, x, h_prev, c_prev):
     d = len(x)
     h = len(h_prev)
 
-    def affine(W, U, b, k):
+    def affine(g, k):
+        W, U, b = (gate(p, f"{kind}_{g}") for kind in "WUb")
         s = b[k]
         for a in range(d):
             s += x[a] * W[a, k]
@@ -93,11 +143,11 @@ def oracle_lstm_step(p, x, h_prev, c_prev):
             s += h_prev[a] * U[a, k]
         return s
 
-    f = [scalar_sigmoid(affine(p.W_f, p.U_f, p.b_f, k)) for k in range(h)]
-    i = [scalar_sigmoid(affine(p.W_i, p.U_i, p.b_i, k)) for k in range(h)]
-    ct = [math.tanh(affine(p.W_c, p.U_c, p.b_c, k)) for k in range(h)]
+    f = [scalar_sigmoid(affine("f", k)) for k in range(h)]
+    i = [scalar_sigmoid(affine("i", k)) for k in range(h)]
+    ct = [math.tanh(affine("c", k)) for k in range(h)]
     c = [f[k] * c_prev[k] + i[k] * ct[k] for k in range(h)]
-    o = [scalar_sigmoid(affine(p.W_o, p.U_o, p.b_o, k)) for k in range(h)]
+    o = [scalar_sigmoid(affine("o", k)) for k in range(h)]
     hv = [o[k] * math.tanh(c[k]) for k in range(h)]
     return np.array(hv), np.array(c)
 
@@ -107,7 +157,8 @@ def oracle_gru_step(p, x, h_prev):
     d = len(x)
     h = len(h_prev)
 
-    def affine(W, U, b, k, hvec):
+    def affine(g, k, hvec):
+        W, U, b = (gate(p, f"{kind}_{g}") for kind in "WUb")
         s = b[k]
         for a in range(d):
             s += x[a] * W[a, k]
@@ -115,10 +166,10 @@ def oracle_gru_step(p, x, h_prev):
             s += hvec[a] * U[a, k]
         return s
 
-    z = [scalar_sigmoid(affine(p.W_z, p.U_z, p.b_z, k, h_prev)) for k in range(h)]
-    r = [scalar_sigmoid(affine(p.W_r, p.U_r, p.b_r, k, h_prev)) for k in range(h)]
+    z = [scalar_sigmoid(affine("z", k, h_prev)) for k in range(h)]
+    r = [scalar_sigmoid(affine("r", k, h_prev)) for k in range(h)]
     rh = [r[k] * h_prev[k] for k in range(h)]
-    ht = [math.tanh(affine(p.W_h, p.U_h, p.b_h, k, rh)) for k in range(h)]
+    ht = [math.tanh(affine("h", k, rh)) for k in range(h)]
     out = [(1.0 - z[k]) * ht[k] + z[k] * h_prev[k] for k in range(h)]
     return np.array(out)
 
@@ -164,9 +215,9 @@ def confusion_fixture():
     params["cell.b_o"][:] = 50.0   # output gate open
     params["cell.W_c"][:] = 1.0    # candidate = tanh(x)
     for ch in "abce":
-        params["embed"][vocab.id_for(ch), 0] = 10.0
+        params["embed"][id_for(vocab, ch), 0] = 10.0
     for ch in "dfghij":
-        params["embed"][vocab.id_for(ch), 0] = -10.0
+        params["embed"][id_for(vocab, ch), 0] = -10.0
     model = ModelGraph(config=cfg, params=params)
     ds = LabeledDataset(
         records=[(ch, 1) for ch in "abcd"] + [(ch, 0) for ch in "efghij"]

@@ -13,12 +13,20 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from conftest import confusion_fixture, finite_diff_grad, oracle_gru_step, oracle_lstm_step
+from conftest import (
+    confusion_fixture,
+    finite_diff_grad,
+    gate,
+    gru_step,
+    lstm_step,
+    oracle_gru_step,
+    oracle_lstm_step,
+)
 from phishdefense.cli import main
 from phishdefense.codec import default_vocab
 from phishdefense.data import split
 from phishdefense.errors import ModelFormatError
-from phishdefense.layers import GruParams, LstmParams, gru_step, lstm_step
+from phishdefense.layers import GruParams, LstmParams
 from phishdefense.model import (
     ModelConfig,
     ModelGraph,
@@ -122,14 +130,14 @@ def test_criterion_2_equation_level_oracle():
 
     # gate-saturation identities
     lp = LstmParams.init(3, 4, 1)
-    lp.b_f[:] = 50.0
-    lp.b_i[:] = -50.0
+    gate(lp, "b_f")[:] = 50.0
+    gate(lp, "b_i")[:] = -50.0
     c_prev = rng.standard_normal(4)
     _, cv, _ = lstm_step(lp, rng.standard_normal(3), rng.standard_normal(4), c_prev)
     assert np.max(np.abs(cv[0] - c_prev)) < 1e-6
 
     gp = GruParams.init(3, 4, 2)
-    gp.b_z[:] = 50.0
+    gate(gp, "b_z")[:] = 50.0
     h_prev = rng.standard_normal(4)
     gv, _ = gru_step(gp, rng.standard_normal(3), h_prev)
     assert np.max(np.abs(gv[0] - h_prev)) < 1e-6

@@ -103,6 +103,23 @@ class TestTrainCommand:
         assert "Traceback" not in err
 
 
+    def test_resume_from_a_truncated_checkpoint_exits_1(self, tmp_path, capsys):
+        args = ["train", "--synthetic", "40", "--seed", "2", "--batch", "20", "--hidden", "4",
+                "--embed", "3", "--max-len", "20", "--workdir", str(tmp_path / "work"),
+                "--out", str(tmp_path / "m.pdm")]
+        assert run_cli(args + ["--epochs", "1"])[0] == 0
+        state = tmp_path / "work" / "train_state.npz"
+        blob = state.read_bytes()
+        state.write_bytes(blob[: len(blob) // 2])
+        capsys.readouterr()
+        code, stdout = run_cli(args + ["--epochs", "2", "--resume"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert stdout == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "train_state.npz" in err
+
+
 class TestPredictCommand:
     def test_tie_break_on_neutral_url(self, fixture_model_path):
         # 'm' has a zero embedding row: the fixture model scores exactly 0.5
@@ -252,6 +269,24 @@ class TestServe:
         status_line, _, rest = reply.partition(b"\r\n")
         assert status_line.split()[1] == b"400"
         assert json.loads(rest.partition(b"\r\n\r\n")[2])["error"].startswith("bad request")
+
+    def test_deeply_nested_json_400(self, http_server):
+        # json.loads gives up on deep nesting with a RecursionError
+        host, _, port = http_server[len("http://"):].partition(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            body = b"[" * 16000
+            sock.sendall(
+                f"POST /check HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+            )
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line.split()[1:2] == [b"400"]
+        assert json.loads(rest.partition(b"\r\n\r\n")[2])["error"].startswith("bad request")
+        r = requests.post(http_server + "/check", json={"url": "a"}, timeout=5)
+        assert r.status_code == 200
 
     def test_short_body_times_out_and_closes(self, fixture_model_path, monkeypatch):
         # a body shorter than its Content-Length: the read times out and the

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import decode_ids
+from conftest import decode_ids, id_for
 from phishdefense.codec import (
     PAD_ID,
     UNK_ID,
@@ -18,13 +18,13 @@ class TestDefaultVocab:
         assert VOCAB.size == 97
 
     def test_space_maps_to_2(self):
-        assert VOCAB.id_for(" ") == 2
+        assert id_for(VOCAB, " ") == 2
 
     def test_lowercase_a(self):
-        assert VOCAB.id_for("a") == 67
+        assert id_for(VOCAB, "a") == 67
 
     def test_every_printable_ascii_mapped_injectively(self):
-        ids = [VOCAB.id_for(chr(c)) for c in range(32, 127)]
+        ids = [id_for(VOCAB, chr(c)) for c in range(32, 127)]
         assert len(set(ids)) == 95
         assert PAD_ID not in ids and UNK_ID not in ids
 
@@ -43,7 +43,7 @@ class TestEncodeUrl:
     def test_truncation_keeps_head(self):
         enc = encode_url("xyz", VOCAB, 2)
         assert enc.true_len == 2
-        np.testing.assert_array_equal(enc.ids, [VOCAB.id_for("x"), VOCAB.id_for("y")])
+        np.testing.assert_array_equal(enc.ids, [id_for(VOCAB, "x"), id_for(VOCAB, "y")])
 
     def test_non_ascii_maps_to_unk(self):
         enc = encode_url("aéb\n", VOCAB, 10)
@@ -75,7 +75,7 @@ class TestEncodeUrl:
 
     @given(st.text(max_size=40), st.integers(1, 30))
     def test_equals_per_character_lookup(self, s, max_len):
-        want = [VOCAB.id_for(ch) for ch in s[:max_len]]
+        want = [id_for(VOCAB, ch) for ch in s[:max_len]]
         enc = encode_url(s, VOCAB, max_len)
         assert enc.ids.tolist() == want + [PAD_ID] * (max_len - len(want))
         assert enc.true_len == len(want)

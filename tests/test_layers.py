@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import finite_diff_grad, oracle_gru_step, oracle_lstm_step
+from conftest import finite_diff_grad, gate, gru_step, lstm_step, oracle_gru_step, oracle_lstm_step
 from phishdefense.errors import ShapeError
 from phishdefense.layers import (
     GruParams,
@@ -13,28 +13,18 @@ from phishdefense.layers import (
     embedding_forward,
     gru_backward,
     gru_forward,
-    gru_step,
     infer_scan,
     lstm_backward,
     lstm_forward,
-    lstm_step,
 )
 
 
 def zero_lstm(d, h):
-    return LstmParams(
-        **{f"W_{g}": np.zeros((d, h)) for g in "fico"},
-        **{f"U_{g}": np.zeros((h, h)) for g in "fico"},
-        **{f"b_{g}": np.zeros(h) for g in "fico"},
-    )
+    return LstmParams.from_dict({n: np.zeros(shape) for n, shape in LstmParams.shapes(d, h)})
 
 
 def zero_gru(d, h):
-    return GruParams(
-        **{f"W_{g}": np.zeros((d, h)) for g in "zrh"},
-        **{f"U_{g}": np.zeros((h, h)) for g in "zrh"},
-        **{f"b_{g}": np.zeros(h) for g in "zrh"},
-    )
+    return GruParams.from_dict({n: np.zeros(shape) for n, shape in GruParams.shapes(d, h)})
 
 
 class TestLstmStep:
@@ -50,8 +40,8 @@ class TestLstmStep:
 
     def test_cell_carry_with_saturated_gates(self, rng):
         p = LstmParams.init(3, 4, seed=5)
-        p.b_f[:] = 50.0   # f -> 1
-        p.b_i[:] = -50.0  # i -> 0
+        gate(p, "b_f")[:] = 50.0   # f -> 1
+        gate(p, "b_i")[:] = -50.0  # i -> 0
         c_prev = rng.standard_normal(4)
         _, c, _ = lstm_step(p, rng.standard_normal(3), rng.standard_normal(4), c_prev)
         np.testing.assert_allclose(c[0], c_prev, atol=1e-6)
@@ -131,8 +121,8 @@ class TestLstmForward:
 
     def test_cell_carry_over_sequence(self, rng):
         p = LstmParams.init(3, 4, seed=7)
-        p.b_f[:] = 60.0
-        p.b_i[:] = -60.0
+        gate(p, "b_f")[:] = 60.0
+        gate(p, "b_i")[:] = -60.0
         c0 = rng.standard_normal((1, 4))
         (_, c), _ = lstm_forward(p, rng.standard_normal((1, 8, 3)), c0=c0)
         np.testing.assert_allclose(c, c0, atol=1e-6)
@@ -184,8 +174,8 @@ class TestLstmBackward:
         # bias is live: h = sigmoid(b_o) * tanh(c), c = i * c_tilde = 0.
         # With c fixed via c0 and f forced to 1, dh/db_o = s(1-s) tanh(c0).
         p = zero_lstm(1, 1)
-        p.b_f[:] = 60.0
-        p.b_o[:] = 0.3
+        gate(p, "b_f")[:] = 60.0
+        gate(p, "b_o")[:] = 0.3
         c0 = np.array([[0.7]])
         _, caches = lstm_forward(p, np.zeros((1, 1, 1)), c0=c0)
         grads, _ = lstm_backward(p, caches, np.ones((1, 1)))
@@ -197,19 +187,19 @@ class TestLstmBackward:
 class TestGruStep:
     def test_update_gate_saturated_keeps_state(self, rng):
         p = GruParams.init(3, 4, seed=4)
-        p.b_z[:] = 50.0  # z -> 1
+        gate(p, "b_z")[:] = 50.0  # z -> 1
         h_prev = rng.standard_normal(4)
         h, _ = gru_step(p, rng.standard_normal(3), h_prev)
         np.testing.assert_allclose(h[0], h_prev, atol=1e-6)
 
     def test_reset_one_update_zero(self, rng):
         p = GruParams.init(3, 4, seed=5)
-        p.b_z[:] = -50.0  # z -> 0
-        p.b_r[:] = 50.0   # r -> 1
+        gate(p, "b_z")[:] = -50.0  # z -> 0
+        gate(p, "b_r")[:] = 50.0   # r -> 1
         x = rng.standard_normal(3)
         h_prev = rng.standard_normal(4)
         h, _ = gru_step(p, x, h_prev)
-        expected = np.tanh(x @ p.W_h + h_prev @ p.U_h + p.b_h)
+        expected = np.tanh(x @ gate(p, "W_h") + h_prev @ gate(p, "U_h") + gate(p, "b_h"))
         np.testing.assert_allclose(h[0], expected, atol=1e-6)
 
     def test_matches_scalar_oracle(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import finite_diff_grad, softmax
+from conftest import finite_diff_grad, param_count, softmax
 from phishdefense.codec import default_vocab
 from phishdefense.errors import ConfigError
 from phishdefense.model import (
@@ -44,7 +44,7 @@ class TestBuildModel:
     def test_lstm_default_param_count(self):
         m = build_model(default_config("lstm"))
         # 97*32 + 4*(32*128 + 128*128 + 128) + (128*1 + 1)
-        assert m.param_count() == 97 * 32 + 4 * (32 * 128 + 128 * 128 + 128) + 129
+        assert param_count(m) == 97 * 32 + 4 * (32 * 128 + 128 * 128 + 128) + 129
 
     def test_deterministic_construction(self):
         a = build_model(default_config("gru", seed=5))

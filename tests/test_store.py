@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import param_count
 from phishdefense.codec import default_vocab
 from phishdefense.errors import (
     ModelCorruptionError,
@@ -52,7 +53,7 @@ class TestSaveModel:
         path = str(tmp_path / "m.pdm")
         written = save_model(m, path)
         header = struct.calcsize("<BIIIIffI") + 4 * len(m.config.dense_dims)
-        expected = 12 + header + 4 * m.param_count() + 4
+        expected = 12 + header + 4 * param_count(m) + 4
         assert written == expected
         assert os.path.getsize(path) == expected
 

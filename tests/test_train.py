@@ -7,7 +7,7 @@ import pytest
 
 from phishdefense.codec import default_vocab
 from phishdefense.data import LabeledDataset, split
-from phishdefense.errors import ConfigError
+from phishdefense.errors import ConfigError, ModelFormatError
 from phishdefense.model import ModelConfig, build_model, forward_batch, score_batch
 from phishdefense.train import (
     SchedulerState,
@@ -218,6 +218,36 @@ class TestTrain:
         cfg = TrainConfig(**{"epochs": 2, "batch_size": 50, "seed": 8, **change})
         with pytest.raises(ConfigError, match=fields):
             train(tiny_model(seed=8), pair, cfg, checkpoint_dir=str(tmp_path), resume=True)
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip_member_byte", "drop_tensor", "reshape_tensor"])
+    def test_resume_refuses_a_damaged_checkpoint(self, tmp_path, damage):
+        pair = split(make_synthetic_corpus(100, 0.5, 8), 0.75, 8)
+        train(tiny_model(seed=8), pair, TrainConfig(epochs=1, batch_size=50, seed=8),
+              checkpoint_dir=str(tmp_path))
+        state = tmp_path / "train_state.npz"
+        blob = bytearray(state.read_bytes())
+        if damage == "truncate":
+            state.write_bytes(blob[: len(blob) // 2])
+        elif damage == "flip_member_byte":
+            # the directory stays intact: only reading the member finds the damage
+            blob[len(blob) // 2] ^= 0xFF
+            state.write_bytes(blob)
+        else:
+            data = dict(np.load(state))
+            if damage == "drop_tensor":
+                del data["m2.cell.W_z"]
+            else:
+                data["best.embed"] = data["best.embed"][:-1]
+            np.savez(state, **data)
+        message = {
+            "truncate": "unreadable training checkpoint: BadZipFile",
+            "flip_member_byte": "unreadable training checkpoint: BadZipFile",
+            "drop_tensor": r"do not match the model's parameters: m2\.cell\.W_z$",
+            "reshape_tensor": r"do not match the model's parameters: best\.embed$",
+        }[damage]
+        with pytest.raises(ModelFormatError, match=f"train_state\\.npz: .*{message}"):
+            train(tiny_model(seed=8), pair, TrainConfig(epochs=2, batch_size=50, seed=8),
+                  checkpoint_dir=str(tmp_path), resume=True)
 
     def test_checkpoints_pruned_to_best_and_latest(self, tmp_path):
         pair = split(make_synthetic_corpus(100, 0.5, 2), 0.75, 2)
