@@ -16,10 +16,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .codec import default_vocab
 from .data import load_csv, split
-from .errors import PhishDefenseError
+from .errors import DataError, PhishDefenseError
 from .model import ModelGraph, default_config, build_model, predict
 from .store import load_model, save_model
 from .train import (
+    MIN_CORPUS,
+    MIN_LR,
+    SPLIT_RATIO,
     TrainConfig,
     bench_inference,
     evaluate,
@@ -41,8 +44,33 @@ def _seed_default() -> int:
     return int(os.environ.get("PD_SEED", "0"))
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is one stderr line and exit 2
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _in_range(kind, low, high=float("inf")):
+    """argparse type: a kind(text) value in [low, high] (NaN is not)."""
+    def parse(text: str):
+        value = kind(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be in [{low:g}, {high:g}], got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
+def _address(text: str):
+    """argparse type: HOST:PORT as (host, port); an empty host is 127.0.0.1."""
+    host, _, port = text.rpartition(":")
+    if not (port.isdigit() and int(port) <= 65535):
+        raise argparse.ArgumentTypeError(f"expected HOST:PORT with a port in 0..65535, got {text!r}")
+    return host or "127.0.0.1", int(port)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="phishdefense")
+    ap = _Parser(prog="phishdefense")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     def common_model_flags(p):
@@ -54,10 +82,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model on a CSV or synthetic corpus")
     p.add_argument("--data", help="url,label CSV path")
-    p.add_argument("--synthetic", type=int, help="generate a synthetic corpus of N URLs")
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--batch", type=int, default=500)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--synthetic", type=_in_range(int, MIN_CORPUS),
+                   help="generate a synthetic corpus of N URLs")
+    p.add_argument("--epochs", type=_in_range(int, 0), default=40)
+    p.add_argument("--batch", type=_in_range(int, 1), default=500)
+    p.add_argument("--lr", type=_in_range(float, MIN_LR), default=1e-3)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--out", required=True, help="output model path (.pdm)")
     p.add_argument("--history", help="history JSONL path (default: <out>.history.jsonl)")
@@ -81,17 +110,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="single-URL latency statistics")
     p.add_argument("--model", required=True)
     p.add_argument("--urls", help="file with one URL per line (default: built-in sample)")
-    p.add_argument("--reps", type=int, default=100)
+    p.add_argument("--reps", type=_in_range(int, 1), default=100)
 
     p = sub.add_parser("synth", help="write a synthetic corpus CSV")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--fraction", type=float, default=0.5)
+    p.add_argument("--n", type=_in_range(int, MIN_CORPUS), required=True)
+    p.add_argument("--fraction", type=_in_range(float, 0.0, 1.0), default=0.5)
     p.add_argument("--seed", type=int, default=_seed_default())
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("serve", help="HTTP scoring endpoint")
     p.add_argument("--model", required=True)
-    p.add_argument("--bind", default="127.0.0.1:8080")
+    p.add_argument("--bind", type=_address, default="127.0.0.1:8080")
     p.add_argument("--threshold", type=float, default=None)
     return ap
 
@@ -110,7 +139,7 @@ def cmd_train(args) -> int:
         initial_lr=args.lr,
         seed=args.seed,
     )
-    pair = split(ds, cfg.split_ratio, args.seed, stratify=args.stratify)
+    pair = split(ds, SPLIT_RATIO, args.seed, stratify=args.stratify)
     model = build_model(
         default_config(
             args.cell,
@@ -178,8 +207,11 @@ _SAMPLE_URLS = [
 def cmd_bench(args) -> int:
     model = load_model(args.model)
     if args.urls:
-        with open(args.urls, encoding="utf-8") as fh:
-            urls = [line.strip() for line in fh if line.strip()]
+        try:
+            with open(args.urls, encoding="utf-8") as fh:
+                urls = [line.strip() for line in fh if line.strip()]
+        except UnicodeDecodeError as e:
+            raise DataError(f"{args.urls}: not UTF-8 text: {e}") from e
         if not urls:
             _log(f"bench: no URLs in {args.urls}")
             return 2
@@ -261,13 +293,13 @@ def make_handler(model: ModelGraph, threshold: float):
 def cmd_serve(args) -> int:
     model = load_model(args.model)
     threshold = args.threshold if args.threshold is not None else model.threshold
-    host, _, port = args.bind.rpartition(":")
+    host, port = args.bind
     try:
-        server = ThreadingHTTPServer((host or "127.0.0.1", int(port)), make_handler(model, threshold))
+        server = ThreadingHTTPServer((host, port), make_handler(model, threshold))
     except OSError as e:
-        _log(f"serve: cannot bind {args.bind}: {e}")
+        _log(f"serve: cannot bind {host}:{port}: {e}")
         return 1
-    _log(f"serving on {args.bind}")
+    _log(f"serving on {host}:{port}")
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -31,7 +31,7 @@ class SplitPair:
     test: LabeledDataset
 
 
-def load_csv(path: str, allow_empty_url: bool = False, dedup: bool = False) -> LabeledDataset:
+def load_csv(path: str, dedup: bool = False) -> LabeledDataset:
     """Load a `url,label` CSV (RFC-4180 quoting, UTF-8).
 
     Labels may be 0/1 or legitimate/phishing (case-insensitive). Duplicate
@@ -43,21 +43,24 @@ def load_csv(path: str, allow_empty_url: bool = False, dedup: bool = False) -> L
     except OSError as e:
         raise DataError(f"cannot read dataset {path}: {e}") from e
     with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header[:2]] != ["url", "label"]:
-            raise DataError(f"{path}: expected header 'url,label', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            url, raw_label = row[0], row[1].strip().lower()
-            if raw_label not in _LABEL_TOKENS:
-                raise DataError(f"{path}:{lineno}: unknown label {row[1]!r}")
-            if not url and not allow_empty_url:
-                raise DataError(f"{path}:{lineno}: empty url")
-            records.append((url, _LABEL_TOKENS[raw_label]))
+        try:  # the file decodes as it is read: any row can fail
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [c.strip().lower() for c in header[:2]] != ["url", "label"]:
+                raise DataError(f"{path}: expected header 'url,label', got {header}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
+                url, raw_label = row[0], row[1].strip().lower()
+                if raw_label not in _LABEL_TOKENS:
+                    raise DataError(f"{path}:{lineno}: unknown label {row[1]!r}")
+                if not url:
+                    raise DataError(f"{path}:{lineno}: empty url")
+                records.append((url, _LABEL_TOKENS[raw_label]))
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not UTF-8 text: {e}") from e
     if dedup:
         seen = set()
         unique = []

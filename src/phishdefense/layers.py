@@ -410,12 +410,12 @@ def embedding_backward(
 
 
 def dropout(
-    x: np.ndarray, rate: float, rng: Optional[np.random.Generator], mode: str = "train"
+    x: np.ndarray, rate: float, rng: Optional[np.random.Generator]
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Inverted dropout; identity in infer mode, where rng is not used. Returns (output, mask)."""
+    """Inverted dropout drawn from rng; identity when rng is None (infer). Returns (output, mask)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0,1), got {rate}")
-    if mode != "train" or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x, None
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
     return x * mask, mask

@@ -134,7 +134,7 @@ def forward_batch(
         (x, _), cell_caches = lstm_forward(m.cell, xs, lens)
     else:
         x, cell_caches = gru_forward(m.cell, xs, lens)
-    probs, dense_caches, drop_mask = _head(m, x, rng, mode)
+    probs, dense_caches, drop_mask = _head(m, x, rng)
     caches = {"ids": ids, "cell": cell_caches, "dense": dense_caches,
               "drop_mask": drop_mask, "probs": probs}
     return probs, caches
@@ -145,7 +145,7 @@ def score_batch(m: ModelGraph, ids: np.ndarray, lens: Optional[np.ndarray] = Non
     within rounding, without its caches: the recurrence is the forward-only
     `infer_scan` over the folded input projections."""
     x = infer_scan(m.cell, m.params["embed"], _trim(ids, lens), lens)
-    return _head(m, x, None, "infer")[0]
+    return _head(m, x, None)[0]
 
 
 def _trim(ids: np.ndarray, lens: Optional[np.ndarray]) -> np.ndarray:
@@ -157,10 +157,11 @@ def _trim(ids: np.ndarray, lens: Optional[np.ndarray]) -> np.ndarray:
 
 
 def _head(
-    m: ModelGraph, x: np.ndarray, rng: Optional[np.random.Generator], mode: str
+    m: ModelGraph, x: np.ndarray, rng: Optional[np.random.Generator]
 ) -> Tuple[np.ndarray, List[Dict], Optional[np.ndarray]]:
     """Dense head on the final hidden state x: hidden sigmoid layers, dropout
-    on the last layer's input, the linear last layer and the logit z @ w.
+    from rng (none when rng is None) on the last layer's input, the linear
+    last layer and the logit z @ w.
     Returns (probabilities, per-layer dense caches, dropout mask)."""
     cfg = m.config
     dense = []
@@ -168,7 +169,7 @@ def _head(
     for k in range(last):
         x, dcache = dense_forward(m.params[f"dense{k}.w"], m.params[f"dense{k}.b"], x, "sigmoid")
         dense.append(dcache)
-    x, drop_mask = dropout(x, cfg.dropout_rate, rng, mode)
+    x, drop_mask = dropout(x, cfg.dropout_rate, rng)
     z, dcache = dense_forward(m.params[f"dense{last}.w"], m.params[f"dense{last}.b"], x)
     dense.append(dcache)
     return sigmoid(z @ _LOGIT_WEIGHTS[cfg.dense_dims[-1]]), dense, drop_mask

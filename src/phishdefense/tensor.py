@@ -8,7 +8,7 @@ seeded numpy Generators so every caller is reproducible from one seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import ClassVar, Dict
 
 import numpy as np
 
@@ -54,12 +54,13 @@ def xavier_init(rows: int, cols: int, seed: int) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Optimizer state for one parameter set. alpha is mutated by the scheduler."""
+    """Optimizer state for one parameter set. alpha is mutated by the scheduler;
+    beta1, beta2 and epsilon are Kingma & Ba's defaults, fixed."""
 
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    epsilon: ClassVar[float] = 1e-8
     alpha: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     first_moment: ParamSet = field(default_factory=dict)
     second_moment: ParamSet = field(default_factory=dict)

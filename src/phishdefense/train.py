@@ -7,7 +7,7 @@ import json
 import os
 import time
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -19,6 +19,14 @@ from .model import ModelGraph, backward_batch, bce_loss, forward_batch, predict,
 from .tensor import AdamState, adam_step
 
 IMPROVE_TOL = 1e-6
+# the reference regimen: plateau decay of the rate, its floor, early stopping
+# and the train/test split are fixed; TrainConfig holds what a run may vary
+LR_FACTOR = 0.1
+LR_PATIENCE = 5
+MIN_LR = 1e-5
+EARLY_STOP_PATIENCE = 6
+SPLIT_RATIO = 0.75
+MIN_CORPUS = 10  # smallest synthetic corpus
 EVAL_BATCH = 1000
 LATENCY_SAMPLE = 50  # URLs evaluate() times single-URL predict on
 BENCH_WARMUP = 3  # untimed predict calls before bench_inference measures
@@ -29,20 +37,11 @@ class TrainConfig:
     epochs: int = 40
     batch_size: int = 500
     initial_lr: float = 1e-3
-    lr_factor: float = 0.1
-    lr_patience: int = 5
-    min_lr: float = 1e-5
-    early_stop_patience: int = 6
     seed: int = 0
-    split_ratio: float = 0.75
 
     def validate(self) -> None:
-        if not 0.0 < self.lr_factor < 1.0:
-            raise ValueError(f"lr_factor must be in (0,1), got {self.lr_factor}")
-        if self.min_lr > self.initial_lr:
-            raise ValueError("min_lr exceeds initial_lr")
-        if self.lr_patience < 1 or self.early_stop_patience < 1:
-            raise ValueError("patiences must be >= 1")
+        if not self.initial_lr >= MIN_LR:
+            raise ValueError(f"initial_lr must be >= {MIN_LR:g}, got {self.initial_lr}")
 
 
 @dataclass
@@ -83,9 +82,9 @@ class MetricsReport:
         return d
 
 
-def scheduler_update(s: SchedulerState, epoch_train_loss: float, cfg: TrainConfig) -> SchedulerState:
-    """Plateau decay on training loss: after lr_patience stagnant epochs,
-    multiply the rate by lr_factor, floored at min_lr."""
+def scheduler_update(s: SchedulerState, epoch_train_loss: float) -> SchedulerState:
+    """Plateau decay on training loss: after LR_PATIENCE stagnant epochs,
+    multiply the rate by LR_FACTOR, floored at MIN_LR."""
     if not np.isfinite(epoch_train_loss):
         raise NumericError(f"non-finite training loss {epoch_train_loss}")
     if epoch_train_loss < s.best_loss - IMPROVE_TOL:
@@ -93,9 +92,9 @@ def scheduler_update(s: SchedulerState, epoch_train_loss: float, cfg: TrainConfi
             current_lr=s.current_lr, best_loss=epoch_train_loss, epochs_since_improvement=0
         )
     stagnant = s.epochs_since_improvement + 1
-    if stagnant >= cfg.lr_patience:
+    if stagnant >= LR_PATIENCE:
         return SchedulerState(
-            current_lr=max(s.current_lr * cfg.lr_factor, cfg.min_lr),
+            current_lr=max(s.current_lr * LR_FACTOR, MIN_LR),
             best_loss=s.best_loss,
             epochs_since_improvement=0,
         )
@@ -104,8 +103,8 @@ def scheduler_update(s: SchedulerState, epoch_train_loss: float, cfg: TrainConfi
     )
 
 
-def early_stop_check(history: Sequence[float], cfg: TrainConfig) -> str:
-    """'stop' once the running best has not improved for early_stop_patience epochs."""
+def early_stop_check(history: Sequence[float]) -> str:
+    """'stop' once the running best has not improved for EARLY_STOP_PATIENCE epochs."""
     if not history:
         raise ValueError("empty loss history")
     best = float("inf")
@@ -116,7 +115,7 @@ def early_stop_check(history: Sequence[float], cfg: TrainConfig) -> str:
             stagnant = 0
         else:
             stagnant += 1
-    return "stop" if stagnant >= cfg.early_stop_patience else "continue"
+    return "stop" if stagnant >= EARLY_STOP_PATIENCE else "continue"
 
 
 def _score(
@@ -158,10 +157,11 @@ def _run_identity(m: ModelGraph, cfg: TrainConfig, data: SplitPair) -> Dict[str,
 
 
 def _save_checkpoint(path: str, m: ModelGraph, best: ModelGraph, adam: AdamState,
-                     sched: SchedulerState, epoch: int, best_val_acc: float,
-                     history: List[EpochRecord], run: Dict[str, Dict]) -> None:
+                     sched: SchedulerState, history: List[EpochRecord], run: Dict[str, Dict]) -> None:
+    """Adam's rate is not stored: it is sched.current_lr."""
     from .store import save_model
 
+    epoch = history[-1].epoch
     tensors = {f"cur.{k}": v for k, v in m.params.items()}
     tensors.update({f"best.{k}": v for k, v in best.params.items()})
     tensors.update({f"m1.{k}": v for k, v in adam.first_moment.items()})
@@ -169,11 +169,8 @@ def _save_checkpoint(path: str, m: ModelGraph, best: ModelGraph, adam: AdamState
     meta = json.dumps(
         {
             **run,
-            "epoch": epoch,
-            "adam": {"alpha": adam.alpha, "beta1": adam.beta1, "beta2": adam.beta2,
-                     "epsilon": adam.epsilon, "step": adam.step},
+            "adam_step": adam.step,
             "sched": asdict(sched),
-            "best_val_acc": best_val_acc,
             "history": [asdict(r) for r in history],
         }
     )
@@ -190,8 +187,7 @@ def _save_checkpoint(path: str, m: ModelGraph, best: ModelGraph, adam: AdamState
 
 
 def _best_epoch(history: List[EpochRecord]) -> int:
-    if not history:
-        return 0
+    """The first epoch of the highest validation accuracy."""
     return max(history, key=lambda r: (r.val_accuracy, -r.epoch)).epoch
 
 
@@ -231,13 +227,16 @@ def _load_checkpoint(path: str, m: ModelGraph, run: Dict[str, Dict]):
             raise ModelFormatError(
                 f"{path}: checkpoint tensors do not match the model's parameters: " + ", ".join(bad)
             )
-    adam = AdamState(**meta["adam"])
-    adam.first_moment, adam.second_moment = groups["m1"], groups["m2"]
-    sched = SchedulerState(**meta["sched"])
-    history = [EpochRecord(**r) for r in meta["history"]]
+    try:
+        sched = SchedulerState(**meta["sched"])
+        adam = AdamState(alpha=sched.current_lr, step=int(meta["adam_step"]),
+                         first_moment=groups["m1"], second_moment=groups["m2"])
+        history = [EpochRecord(**r) for r in meta["history"]]
+    except (KeyError, TypeError, ValueError) as e:
+        raise ModelFormatError(f"{path}: incomplete training checkpoint meta: {e!r}") from e
     m.params = groups["cur"]
     best_model = ModelGraph(config=m.config, params=groups["best"])
-    return best_model, adam, sched, meta["epoch"], meta["best_val_acc"], history
+    return best_model, adam, sched, history
 
 
 def train(
@@ -262,18 +261,13 @@ def train(
     sched = SchedulerState(current_lr=cfg.initial_lr)
     history: List[EpochRecord] = []
     best_model = model.copy()
-    best_val_acc = -1.0
-    start_epoch = 0
     state_path = None
     if checkpoint_dir:
         os.makedirs(checkpoint_dir, exist_ok=True)
         state_path = os.path.join(checkpoint_dir, "train_state.npz")
         run = _run_identity(model, cfg, data)
         if resume and os.path.exists(state_path):
-            best_model, adam, sched, last_epoch, best_val_acc, history = _load_checkpoint(
-                state_path, model, run
-            )
-            start_epoch = last_epoch + 1
+            best_model, adam, sched, history = _load_checkpoint(state_path, model, run)
     n_train = len(data.train)
     hist_fh = open(history_path, "w") if history_path else None
     try:
@@ -281,7 +275,7 @@ def train(
             # a resumed run restarts the file from its checkpoint's records, so an
             # epoch logged just before a crash that lost its checkpoint is not repeated
             _write_history(hist_fh, history)
-        for epoch in range(start_epoch, cfg.epochs):
+        for epoch in range(len(history), cfg.epochs):  # history holds epochs 0..len-1
             t0 = time.perf_counter()
             epoch_seed = int(np.random.SeedSequence([cfg.seed, epoch]).generate_state(1)[0])
             total_loss = 0.0
@@ -324,16 +318,13 @@ def train(
                     f"train_acc={train_acc:.4f} val_loss={val_loss:.4f} "
                     f"val_acc={val_acc:.4f} lr={sched.current_lr:g}"
                 )
-            if val_acc > best_val_acc:
-                best_val_acc = val_acc
+            if _best_epoch(history) == epoch:
                 best_model = model.copy()
-            sched = scheduler_update(sched, train_loss, cfg)
+            sched = scheduler_update(sched, train_loss)
             adam.alpha = sched.current_lr
             if state_path:
-                _save_checkpoint(
-                    state_path, model, best_model, adam, sched, epoch, best_val_acc, history, run
-                )
-            if early_stop_check([r.train_loss for r in history], cfg) == "stop":
+                _save_checkpoint(state_path, model, best_model, adam, sched, history, run)
+            if early_stop_check([r.train_loss for r in history]) == "stop":
                 break
     finally:
         if hist_fh:
@@ -419,8 +410,10 @@ def _phish_url(rng: np.random.Generator) -> str:
 
 def make_synthetic_corpus(n: int, phish_fraction: float, seed: int) -> LabeledDataset:
     """Deterministic labeled corpus with learnable character-level signals."""
-    if n < 10:
-        raise ValueError(f"corpus size must be >= 10, got {n}")
+    if n < MIN_CORPUS:
+        raise ValueError(f"corpus size must be >= {MIN_CORPUS}, got {n}")
+    if not 0.0 <= phish_fraction <= 1.0:
+        raise ValueError(f"phishing fraction must be in [0,1], got {phish_fraction}")
     rng = np.random.default_rng(seed)
     n_phish = int(round(n * phish_fraction))
     records = [(_phish_url(rng), 1) for _ in range(n_phish)]

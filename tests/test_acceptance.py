@@ -163,21 +163,20 @@ def test_criterion_3_loss_closed_forms():
 
 
 def test_criterion_4_scheduler_and_early_stop():
-    cfg = TrainConfig()
     s = SchedulerState(current_lr=1e-3)
-    s = scheduler_update(s, 1.0, cfg)  # sets best
+    s = scheduler_update(s, 1.0)  # sets best
     for k in range(4):
-        s = scheduler_update(s, 1.0, cfg)
+        s = scheduler_update(s, 1.0)
         assert s.current_lr == 1e-3, k
-    s = scheduler_update(s, 1.0, cfg)  # 5th stagnant epoch
+    s = scheduler_update(s, 1.0)  # 5th stagnant epoch
     assert s.current_lr == pytest.approx(1e-4)
     for _ in range(20):
-        s = scheduler_update(s, 1.0, cfg)
+        s = scheduler_update(s, 1.0)
     assert s.current_lr == pytest.approx(1e-5)  # floored
 
     losses = [1.0, 0.5] + [0.5] * 5
-    assert early_stop_check(losses, cfg) == "continue"
-    assert early_stop_check(losses + [0.5], cfg) == "stop"
+    assert early_stop_check(losses) == "continue"
+    assert early_stop_check(losses + [0.5]) == "stop"
     report(4, True)
 
 

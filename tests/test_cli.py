@@ -344,3 +344,54 @@ class TestServe:
         for t in threads:
             t.join()
         assert results == serial
+
+
+SMALL_TRAIN = ["--hidden", "4", "--embed", "3", "--max-len", "20"]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["train", "--synthetic", "20", "--lr", "1e-6", *SMALL_TRAIN], "--lr"),
+         (["train", "--synthetic", "20", "--lr", "0", *SMALL_TRAIN], "--lr"),
+         (["train", "--synthetic", "20", "--batch", "0", *SMALL_TRAIN], "--batch"),
+         (["train", "--synthetic", "20", "--epochs", "-3", *SMALL_TRAIN], "--epochs"),
+         (["train", "--synthetic", "5", *SMALL_TRAIN], "--synthetic"),
+         (["synth", "--n", "5"], "--n"),
+         (["synth", "--n", "20", "--fraction", "2"], "--fraction"),
+         (["synth", "--n", "20", "--fraction", "-1"], "--fraction"),
+         (["bench", "--reps", "0"], "--reps"),
+         (["serve", "--bind", "localhost"], "--bind"),
+         (["serve", "--bind", "127.0.0.1:99999"], "--bind")],
+    )
+    def test_flag_out_of_range_exits_2_with_one_line(
+        self, argv, flag, fixture_model_path, tmp_path, capsys, monkeypatch
+    ):
+        def no_server(*args, **kwargs):
+            raise AssertionError("a server was started")
+
+        monkeypatch.setattr(cli, "ThreadingHTTPServer", no_server)
+        out = tmp_path / "out"
+        where = ["--model", fixture_model_path] if argv[0] in ("bench", "serve") else ["--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + where)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert len(err.splitlines()) == 1 and f"argument {flag}:" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "bench"])
+    def test_non_utf8_input_exits_1_naming_the_file(self, command, fixture_model_path, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"url,label\nhttp://a.com/\xff,1\n")
+        argv = {
+            "train": ["train", "--data", str(bad), "--out", str(tmp_path / "m.pdm"), *SMALL_TRAIN],
+            "eval": ["eval", "--model", fixture_model_path, "--data", str(bad)],
+            "bench": ["bench", "--model", fixture_model_path, "--urls", str(bad)],
+        }[command]
+        code, stdout = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 1 and stdout == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and f"{bad}: not UTF-8 text" in err

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -56,7 +57,12 @@ class TestLoadCsv:
         path = write_csv(tmp_path, [",0"])
         with pytest.raises(DataError, match="empty url"):
             load_csv(path)
-        assert len(load_csv(path, allow_empty_url=True)) == 1
+
+    def test_non_utf8_bytes_name_the_path(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"url,label\nhttp://a.com/\xff,1\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: not UTF-8 text")):
+            load_csv(str(path))
 
 
 def toy_dataset(n, phish_every=2):

@@ -383,20 +383,20 @@ class TestEmbedding:
 class TestDropout:
     def test_rate_zero_identity(self, rng):
         x = rng.standard_normal((4, 8))
-        for mode in ("train", "infer"):
-            out, mask = dropout(x, 0.0, np.random.default_rng(0), mode)
+        for draws in (np.random.default_rng(0), None):  # train, infer
+            out, mask = dropout(x, 0.0, draws)
             np.testing.assert_array_equal(out, x)
             assert mask is None
 
     def test_infer_identity(self, rng):
         x = rng.standard_normal((4, 8))
-        out, mask = dropout(x, 0.5, np.random.default_rng(0), "infer")
+        out, mask = dropout(x, 0.5, None)
         np.testing.assert_array_equal(out, x)
         assert mask is None
 
     def test_train_statistics(self):
         x = np.ones((1, 10000))
-        out, _ = dropout(x, 0.5, np.random.default_rng(3), "train")
+        out, _ = dropout(x, 0.5, np.random.default_rng(3))
         frac = np.mean(out != 0)
         assert 0.47 <= frac <= 0.53
         assert abs(out.mean() - 1.0) < 0.05

@@ -10,6 +10,7 @@ from phishdefense.data import LabeledDataset, split
 from phishdefense.errors import ConfigError, ModelFormatError
 from phishdefense.model import ModelConfig, build_model, forward_batch, score_batch
 from phishdefense.train import (
+    EARLY_STOP_PATIENCE,
     SchedulerState,
     TrainConfig,
     bench_inference,
@@ -30,7 +31,7 @@ def run_scheduler(losses, cfg=CFG):
     s = SchedulerState(current_lr=cfg.initial_lr)
     trace = []
     for loss in losses:
-        s = scheduler_update(s, loss, cfg)
+        s = scheduler_update(s, loss)
         trace.append(s.current_lr)
     return trace
 
@@ -68,21 +69,21 @@ class TestScheduler:
 class TestEarlyStop:
     def test_monotone_decreasing_continues(self):
         losses = [1.0 - 0.01 * k for k in range(50)]
-        assert early_stop_check(losses, CFG) == "continue"
+        assert early_stop_check(losses) == "continue"
 
     def test_stops_after_six_non_improving(self):
         losses = [1.0, 0.5] + [0.5] * 6
-        assert early_stop_check(losses, CFG) == "stop"
-        assert early_stop_check(losses[:-1], CFG) == "continue"
+        assert early_stop_check(losses) == "stop"
+        assert early_stop_check(losses[:-1]) == "continue"
 
     def test_reset_on_improvement(self):
         losses = [1.0] + [1.0] * 5 + [0.4]
-        assert early_stop_check(losses, CFG) == "continue"
+        assert early_stop_check(losses) == "continue"
 
     def test_never_fires_before_patience_plus_one(self):
-        for k in range(1, CFG.early_stop_patience + 1):
-            assert early_stop_check([1.0] * k, CFG) == "continue"
-        assert early_stop_check([1.0] * (CFG.early_stop_patience + 1), CFG) == "stop"
+        for k in range(1, EARLY_STOP_PATIENCE + 1):
+            assert early_stop_check([1.0] * k) == "continue"
+        assert early_stop_check([1.0] * (EARLY_STOP_PATIENCE + 1)) == "stop"
 
 
 def tiny_model(cell="gru", max_len=40, seed=0, hidden_dim=12):
@@ -156,10 +157,10 @@ class TestTrain:
         ck, hist = str(tmp_path / "ck"), tmp_path / "hist.jsonl"
         save = train_module._save_checkpoint
 
-        def crash_at_epoch_1(path, m, best, adam, sched, epoch, *rest):
-            if epoch == 1:
+        def crash_at_epoch_1(path, m, best, adam, sched, history, *rest):
+            if history[-1].epoch == 1:
                 raise OSError("disk full")
-            save(path, m, best, adam, sched, epoch, *rest)
+            save(path, m, best, adam, sched, history, *rest)
 
         monkeypatch.setattr(train_module, "_save_checkpoint", crash_at_epoch_1)
         with pytest.raises(OSError):
@@ -219,7 +220,18 @@ class TestTrain:
         with pytest.raises(ConfigError, match=fields):
             train(tiny_model(seed=8), pair, cfg, checkpoint_dir=str(tmp_path), resume=True)
 
-    @pytest.mark.parametrize("damage", ["truncate", "flip_member_byte", "drop_tensor", "reshape_tensor"])
+    def test_checkpoint_meta_stores_nothing_derivable(self, tmp_path):
+        pair = split(make_synthetic_corpus(100, 0.5, 8), 0.75, 8)
+        train(tiny_model(seed=8), pair, TrainConfig(epochs=2, batch_size=50, seed=8),
+              checkpoint_dir=str(tmp_path))
+        meta = json.loads(bytes(np.load(tmp_path / "train_state.npz")["__meta__"]).decode())
+        assert set(meta) == {"config", "train_config", "data", "adam_step", "sched", "history"}
+        assert set(meta["train_config"]) == {"batch_size", "initial_lr", "seed"}
+        assert meta["adam_step"] == 2 * 2  # 75 training URLs in batches of 50, 2 epochs
+
+    @pytest.mark.parametrize(
+        "damage", ["truncate", "flip_member_byte", "drop_tensor", "reshape_tensor", "drop_meta_field"]
+    )
     def test_resume_refuses_a_damaged_checkpoint(self, tmp_path, damage):
         pair = split(make_synthetic_corpus(100, 0.5, 8), 0.75, 8)
         train(tiny_model(seed=8), pair, TrainConfig(epochs=1, batch_size=50, seed=8),
@@ -236,14 +248,19 @@ class TestTrain:
             data = dict(np.load(state))
             if damage == "drop_tensor":
                 del data["m2.cell.W_z"]
-            else:
+            elif damage == "reshape_tensor":
                 data["best.embed"] = data["best.embed"][:-1]
+            else:
+                meta = json.loads(bytes(data["__meta__"]).decode())
+                del meta["sched"]
+                data["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
             np.savez(state, **data)
         message = {
             "truncate": "unreadable training checkpoint: BadZipFile",
             "flip_member_byte": "unreadable training checkpoint: BadZipFile",
             "drop_tensor": r"do not match the model's parameters: m2\.cell\.W_z$",
             "reshape_tensor": r"do not match the model's parameters: best\.embed$",
+            "drop_meta_field": r"incomplete training checkpoint meta: KeyError\('sched'\)$",
         }[damage]
         with pytest.raises(ModelFormatError, match=f"train_state\\.npz: .*{message}"):
             train(tiny_model(seed=8), pair, TrainConfig(epochs=2, batch_size=50, seed=8),
@@ -373,6 +390,11 @@ class TestSyntheticCorpus:
     def test_min_size(self):
         with pytest.raises(ValueError):
             make_synthetic_corpus(5, 0.5, 0)
+
+    @pytest.mark.parametrize("fraction", [2.0, -1.0, float("nan")])
+    def test_fraction_outside_unit_interval(self, fraction):
+        with pytest.raises(ValueError, match="phishing fraction"):
+            make_synthetic_corpus(20, fraction, 0)
 
 
 class TestBenchInference:
