@@ -40,10 +40,6 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _seed_default() -> int:
-    return int(os.environ.get("PD_SEED", "0"))
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a usage error is one stderr line and exit 2
         self.exit(2, f"{self.prog}: error: {message}\n")
@@ -71,6 +67,10 @@ def _address(text: str):
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="phishdefense")
+    # argparse converts a string default only when its flag is absent, so a
+    # bad PD_SEED is a usage error unless --seed is given
+    seed = {"type": int, "default": os.environ.get("PD_SEED", "0")}
+    probability = _in_range(float, 0.0, 1.0)
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     def common_model_flags(p):
@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-len", type=int, default=200)
         p.add_argument("--embed", type=int, default=32)
         p.add_argument("--hidden", type=int, default=128)
-        p.add_argument("--seed", type=int, default=_seed_default())
+        p.add_argument("--seed", **seed)
 
     p = sub.add_parser("train", help="train a model on a CSV or synthetic corpus")
     p.add_argument("--data", help="url,label CSV path")
@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=_in_range(int, 0), default=40)
     p.add_argument("--batch", type=_in_range(int, 1), default=500)
     p.add_argument("--lr", type=_in_range(float, MIN_LR), default=1e-3)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=probability, default=0.5)
     p.add_argument("--out", required=True, help="output model path (.pdm)")
     p.add_argument("--history", help="history JSONL path (default: <out>.history.jsonl)")
     p.add_argument("--workdir", help="checkpoint directory (enables crash resume)")
@@ -99,13 +99,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a model on a labeled CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", type=probability, default=None)
 
     p = sub.add_parser("predict", help="score one URL or a stream of URLs")
     p.add_argument("--model", required=True)
     p.add_argument("--url")
     p.add_argument("--stdin", action="store_true")
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", type=probability, default=None)
 
     p = sub.add_parser("bench", help="single-URL latency statistics")
     p.add_argument("--model", required=True)
@@ -114,14 +114,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="write a synthetic corpus CSV")
     p.add_argument("--n", type=_in_range(int, MIN_CORPUS), required=True)
-    p.add_argument("--fraction", type=_in_range(float, 0.0, 1.0), default=0.5)
-    p.add_argument("--seed", type=int, default=_seed_default())
+    p.add_argument("--fraction", type=probability, default=0.5)
+    p.add_argument("--seed", **seed)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("serve", help="HTTP scoring endpoint")
     p.add_argument("--model", required=True)
     p.add_argument("--bind", type=_address, default="127.0.0.1:8080")
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", type=probability, default=None)
     return ap
 
 

@@ -21,9 +21,6 @@ class LabeledDataset:
     def __len__(self) -> int:
         return len(self.records)
 
-    def labels(self) -> np.ndarray:
-        return np.array([lab for _, lab in self.records], dtype=np.int64)
-
 
 @dataclass
 class SplitPair:
@@ -82,10 +79,10 @@ def split(
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must be in (0,1), got {ratio}")
     n = len(ds)
-    if n < 2:
-        raise DataError(f"dataset too small to split: {n} records")
-    rng = np.random.default_rng(seed)
     n_train = int(round(ratio * n))
+    if not 0 < n_train < n:
+        raise DataError(f"cannot split {n} records at ratio {ratio}: a side would be empty")
+    rng = np.random.default_rng(seed)
     if stratify:
         by_class: dict[int, list[int]] = {0: [], 1: []}
         for i, (_, lab) in enumerate(ds.records):

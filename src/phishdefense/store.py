@@ -23,12 +23,12 @@ Byte layout (all integers little-endian):
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
-import tempfile
 import zlib
-from typing import List, Tuple
+from typing import BinaryIO, Iterator, List, Tuple
 
 import numpy as np
 
@@ -79,8 +79,23 @@ def _pack_header(cfg: ModelConfig, threshold: float) -> bytes:
     return head + struct.pack(f"<{len(cfg.dense_dims)}I", *cfg.dense_dims)
 
 
+@contextlib.contextmanager
+def atomic_write(path: str) -> Iterator[BinaryIO]:
+    """A binary file beside path, renamed over it once the with-block completes
+    and removed if it fails: a reader never sees a partial file."""
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "xb")  # x: never another writer's temp file
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_model(m: ModelGraph, path: str) -> int:
-    """Write the model atomically (temp file + rename); returns bytes written."""
+    """Write the model atomically; returns bytes written."""
     header = _pack_header(m.config, m.threshold)
     payload = b"".join(
         np.ascontiguousarray(m.params[name], dtype="<f4").tobytes()
@@ -93,16 +108,9 @@ def save_model(m: ModelGraph, path: str) -> int:
         + body
         + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
     )
-    directory = os.path.dirname(os.path.abspath(path))
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        with atomic_write(path) as fh:
+            fh.write(blob)
     except OSError as e:
         raise IOError(f"cannot write model to {path}: {e}") from e
     return len(blob)
@@ -133,6 +141,8 @@ def load_model(path: str) -> ModelGraph:
     )
     if cell_code not in _CELL_NAMES:
         raise ModelFormatError(f"{path}: unknown cell code {cell_code}")
+    if not 0.0 <= threshold <= 1.0:  # NaN fails too
+        raise ModelFormatError(f"{path}: threshold {threshold} outside [0, 1]")
     if header_len != fixed + 4 * n_dense:
         raise ModelFormatError(f"{path}: header length inconsistent with {n_dense} dense dims")
     dense_dims = struct.unpack_from(f"<{n_dense}I", header, fixed)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 import zipfile
@@ -16,6 +17,7 @@ from .codec import Vocab, default_vocab
 from .data import LabeledDataset, SplitPair, batches
 from .errors import ConfigError, DataError, ModelFormatError, NumericError
 from .model import ModelGraph, backward_batch, bce_loss, forward_batch, predict, score_batch
+from .store import atomic_write, save_model
 from .tensor import AdamState, adam_step
 
 IMPROVE_TOL = 1e-6
@@ -105,8 +107,6 @@ def scheduler_update(s: SchedulerState, epoch_train_loss: float) -> SchedulerSta
 
 def early_stop_check(history: Sequence[float]) -> str:
     """'stop' once the running best has not improved for EARLY_STOP_PATIENCE epochs."""
-    if not history:
-        raise ValueError("empty loss history")
     best = float("inf")
     stagnant = 0
     for loss in history:
@@ -157,26 +157,17 @@ def _run_identity(m: ModelGraph, cfg: TrainConfig, data: SplitPair) -> Dict[str,
 
 
 def _save_checkpoint(path: str, m: ModelGraph, best: ModelGraph, adam: AdamState,
-                     sched: SchedulerState, history: List[EpochRecord], run: Dict[str, Dict]) -> None:
-    """Adam's rate is not stored: it is sched.current_lr."""
-    from .store import save_model
-
+                     history: List[EpochRecord], run: Dict[str, Dict]) -> None:
+    """The run's identity, its history and the four tensor groups: the
+    scheduler state and Adam's rate and step replay from the history."""
     epoch = history[-1].epoch
     tensors = {f"cur.{k}": v for k, v in m.params.items()}
     tensors.update({f"best.{k}": v for k, v in best.params.items()})
     tensors.update({f"m1.{k}": v for k, v in adam.first_moment.items()})
     tensors.update({f"m2.{k}": v for k, v in adam.second_moment.items()})
-    meta = json.dumps(
-        {
-            **run,
-            "adam_step": adam.step,
-            "sched": asdict(sched),
-            "history": [asdict(r) for r in history],
-        }
-    )
-    tmp = path + ".tmp.npz"
-    np.savez(tmp, __meta__=np.frombuffer(meta.encode(), dtype=np.uint8), **tensors)
-    os.replace(tmp, path)
+    meta = json.dumps({**run, "history": [asdict(r) for r in history]})
+    with atomic_write(path) as fh:
+        np.savez(fh, __meta__=np.frombuffer(meta.encode(), dtype=np.uint8), **tensors)
     ckdir = os.path.dirname(path) or "."
     save_model(m, os.path.join(ckdir, f"ck_epoch{epoch}.pdm"))
     # prune weight checkpoints to best + latest
@@ -191,27 +182,32 @@ def _best_epoch(history: List[EpochRecord]) -> int:
     return max(history, key=lambda r: (r.val_accuracy, -r.epoch)).epoch
 
 
-def _write_history(fh, records: Sequence[EpochRecord]) -> None:
-    for rec in records:
-        fh.write(json.dumps(asdict(rec)) + "\n")
-    fh.flush()
+def _write_history(path: str, history: Sequence[EpochRecord]) -> None:
+    """Rewrite the JSONL history file whole: it holds exactly the run's records."""
+    with atomic_write(path) as fh:
+        fh.write("".join(json.dumps(asdict(r)) + "\n" for r in history).encode())
 
 
 _RUN_PARTS = {"config": "model config", "train_config": "training config", "data": "data digest"}
 
 
 def _load_checkpoint(path: str, m: ModelGraph, run: Dict[str, Dict]):
+    """The current and best weights, Adam's two moments and the history."""
     try:  # np.load reads members lazily: the member reads can fail too
         with np.load(path) as data:
             meta = json.loads(bytes(data["__meta__"]).decode())
             tensors = {k: data[k] for k in data.files if k != "__meta__"}
     except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as e:
         raise ModelFormatError(f"{path}: unreadable training checkpoint: {e!r}") from e
+    if not isinstance(meta, dict):
+        raise ModelFormatError(f"{path}: checkpoint meta is not a JSON object")
     differ = []
     for part, what in _RUN_PARTS.items():
         saved, want = meta.get(part), run[part]
         if saved is None:
             raise ConfigError(f"{path}: checkpoint records no {what}, cannot resume")
+        if not isinstance(saved, dict):
+            raise ModelFormatError(f"{path}: checkpoint {what} is not a JSON object")
         differ += [f"{k} {saved.get(k)!r} != {want.get(k)!r}"
                    for k in sorted(want.keys() | saved.keys()) if want.get(k) != saved.get(k)]
     if differ:
@@ -228,15 +224,10 @@ def _load_checkpoint(path: str, m: ModelGraph, run: Dict[str, Dict]):
                 f"{path}: checkpoint tensors do not match the model's parameters: " + ", ".join(bad)
             )
     try:
-        sched = SchedulerState(**meta["sched"])
-        adam = AdamState(alpha=sched.current_lr, step=int(meta["adam_step"]),
-                         first_moment=groups["m1"], second_moment=groups["m2"])
         history = [EpochRecord(**r) for r in meta["history"]]
     except (KeyError, TypeError, ValueError) as e:
         raise ModelFormatError(f"{path}: incomplete training checkpoint meta: {e!r}") from e
-    m.params = groups["cur"]
-    best_model = ModelGraph(config=m.config, params=groups["best"])
-    return best_model, adam, sched, history
+    return (*groups.values(), history)
 
 
 def train(
@@ -257,78 +248,75 @@ def train(
     cfg.validate()
     vocab = vocab or default_vocab()
     max_len = model.config.max_len
-    adam = AdamState(alpha=cfg.initial_lr)
-    sched = SchedulerState(current_lr=cfg.initial_lr)
     history: List[EpochRecord] = []
     best_model = model.copy()
+    m1, m2 = {}, {}  # Adam makes zero moments at its first step
     state_path = None
     if checkpoint_dir:
         os.makedirs(checkpoint_dir, exist_ok=True)
         state_path = os.path.join(checkpoint_dir, "train_state.npz")
         run = _run_identity(model, cfg, data)
         if resume and os.path.exists(state_path):
-            best_model, adam, sched, history = _load_checkpoint(state_path, model, run)
+            model.params, best, m1, m2, history = _load_checkpoint(state_path, model, run)
+            best_model = ModelGraph(config=model.config, params=best)
     n_train = len(data.train)
-    hist_fh = open(history_path, "w") if history_path else None
-    try:
-        if hist_fh:
-            # a resumed run restarts the file from its checkpoint's records, so an
-            # epoch logged just before a crash that lost its checkpoint is not repeated
-            _write_history(hist_fh, history)
-        for epoch in range(len(history), cfg.epochs):  # history holds epochs 0..len-1
-            t0 = time.perf_counter()
-            epoch_seed = int(np.random.SeedSequence([cfg.seed, epoch]).generate_state(1)[0])
-            total_loss = 0.0
-            correct = 0
-            for b_idx, (ids, lens, labels) in enumerate(
-                batches(data.train, cfg.batch_size, epoch_seed, vocab, max_len)
-            ):
-                drop_seed = int(
-                    np.random.SeedSequence([cfg.seed, epoch, b_idx, 7]).generate_state(1)[0]
-                )
-                probs, caches = forward_batch(model, ids, lens, mode="train", seed=drop_seed)
-                try:
-                    grads, loss = backward_batch(model, caches, labels)
-                    model.params = adam_step(model.params, grads, adam)
-                except NumericError as e:
-                    raise NumericError(f"epoch {epoch} batch {b_idx}: {e}") from e
-                if not np.isfinite(loss):
-                    raise NumericError(f"epoch {epoch} batch {b_idx}: loss is {loss}")
-                total_loss += loss * len(labels)
-                correct += int(np.sum((probs > 0.5).astype(np.int64) == labels))
-            train_loss = total_loss / n_train
-            train_acc = correct / n_train
-            (tp, _, tn, _), val_loss = _score(model, data.test, vocab, 0.5)
-            val_acc = (tp + tn) / len(data.test)
-            rec = EpochRecord(
-                epoch=epoch,
-                train_loss=train_loss,
-                train_accuracy=train_acc,
-                val_loss=val_loss,
-                val_accuracy=val_acc,
-                lr=sched.current_lr,
-                wall_time=time.perf_counter() - t0,
+    # the rest of the state replays from the history, alike for fresh and resumed runs
+    sched = SchedulerState(current_lr=cfg.initial_lr)
+    for r in history:
+        sched = scheduler_update(sched, r.train_loss)
+    adam = AdamState(alpha=sched.current_lr, step=len(history) * math.ceil(n_train / cfg.batch_size),
+                     first_moment=m1, second_moment=m2)
+    if history_path:
+        _write_history(history_path, history)
+    while len(history) < cfg.epochs and early_stop_check([r.train_loss for r in history]) == "continue":
+        epoch = len(history)  # history holds epochs 0..epoch-1
+        t0 = time.perf_counter()
+        epoch_seed = int(np.random.SeedSequence([cfg.seed, epoch]).generate_state(1)[0])
+        total_loss = 0.0
+        correct = 0
+        for b_idx, (ids, lens, labels) in enumerate(
+            batches(data.train, cfg.batch_size, epoch_seed, vocab, max_len)
+        ):
+            drop_seed = int(
+                np.random.SeedSequence([cfg.seed, epoch, b_idx, 7]).generate_state(1)[0]
             )
-            history.append(rec)
-            if hist_fh:
-                _write_history(hist_fh, [rec])
-            if log:
-                log(
-                    f"epoch {epoch}: train_loss={train_loss:.4f} "
-                    f"train_acc={train_acc:.4f} val_loss={val_loss:.4f} "
-                    f"val_acc={val_acc:.4f} lr={sched.current_lr:g}"
-                )
-            if _best_epoch(history) == epoch:
-                best_model = model.copy()
-            sched = scheduler_update(sched, train_loss)
-            adam.alpha = sched.current_lr
-            if state_path:
-                _save_checkpoint(state_path, model, best_model, adam, sched, history, run)
-            if early_stop_check([r.train_loss for r in history]) == "stop":
-                break
-    finally:
-        if hist_fh:
-            hist_fh.close()
+            probs, caches = forward_batch(model, ids, lens, mode="train", seed=drop_seed)
+            try:
+                grads, loss = backward_batch(model, caches, labels)
+                model.params = adam_step(model.params, grads, adam)
+            except NumericError as e:
+                raise NumericError(f"epoch {epoch} batch {b_idx}: {e}") from e
+            if not np.isfinite(loss):
+                raise NumericError(f"epoch {epoch} batch {b_idx}: loss is {loss}")
+            total_loss += loss * len(labels)
+            correct += int(np.sum((probs > 0.5).astype(np.int64) == labels))
+        train_loss = total_loss / n_train
+        train_acc = correct / n_train
+        (tp, _, tn, _), val_loss = _score(model, data.test, vocab, 0.5)
+        val_acc = (tp + tn) / len(data.test)
+        history.append(EpochRecord(
+            epoch=epoch,
+            train_loss=train_loss,
+            train_accuracy=train_acc,
+            val_loss=val_loss,
+            val_accuracy=val_acc,
+            lr=sched.current_lr,
+            wall_time=time.perf_counter() - t0,
+        ))
+        if history_path:
+            _write_history(history_path, history)
+        if log:
+            log(
+                f"epoch {epoch}: train_loss={train_loss:.4f} "
+                f"train_acc={train_acc:.4f} val_loss={val_loss:.4f} "
+                f"val_acc={val_acc:.4f} lr={sched.current_lr:g}"
+            )
+        if _best_epoch(history) == epoch:
+            best_model = model.copy()
+        sched = scheduler_update(sched, train_loss)
+        adam.alpha = sched.current_lr
+        if state_path:
+            _save_checkpoint(state_path, model, best_model, adam, history, run)
     return best_model, history
 
 

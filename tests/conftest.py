@@ -68,6 +68,11 @@ def id_for(vocab, ch: str) -> int:
     return vocab.mapping.get(ch, UNK_ID)
 
 
+def labels(ds) -> np.ndarray:
+    """The dataset's labels, in record order."""
+    return np.array([lab for _, lab in ds.records], dtype=np.int64)
+
+
 def char_for(vocab, token_id: int) -> str:
     """Inverse lookup for printable ids; PAD/UNK have no character."""
     if 2 <= token_id <= vocab.size - 1:

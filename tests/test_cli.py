@@ -8,7 +8,7 @@ from contextlib import contextmanager, redirect_stdout
 import pytest
 import requests
 
-from conftest import confusion_fixture
+from conftest import confusion_fixture, labels
 from phishdefense import cli
 from phishdefense.cli import main, make_handler
 from phishdefense.store import load_model, save_model
@@ -102,6 +102,16 @@ class TestTrainCommand:
         assert "error:" in err and "initial_lr" in err and "train_sha256" in err
         assert "Traceback" not in err
 
+
+    def test_two_record_csv_exits_1_with_one_line(self, tmp_path, capsys):
+        data = tmp_path / "two.csv"
+        data.write_text("url,label\nhttp://a.com,0\nhttp://b.com,1\n")
+        code, stdout = run_cli(["train", "--data", str(data), "--out", str(tmp_path / "m.pdm"),
+                                *SMALL_TRAIN])
+        err = capsys.readouterr().err
+        assert code == 1 and stdout == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot split 2 records")
+        assert not (tmp_path / "m.pdm").exists()
 
     def test_resume_from_a_truncated_checkpoint_exits_1(self, tmp_path, capsys):
         args = ["train", "--synthetic", "40", "--seed", "2", "--batch", "20", "--hidden", "4",
@@ -211,7 +221,7 @@ class TestSynthCommand:
 
         ds = load_csv(str(out))
         assert len(ds) == 50
-        assert int(ds.labels().sum()) == 25
+        assert int(labels(ds).sum()) == 25
 
 
 @contextmanager
@@ -362,7 +372,11 @@ class TestUsageErrors:
          (["synth", "--n", "20", "--fraction", "-1"], "--fraction"),
          (["bench", "--reps", "0"], "--reps"),
          (["serve", "--bind", "localhost"], "--bind"),
-         (["serve", "--bind", "127.0.0.1:99999"], "--bind")],
+         (["serve", "--bind", "127.0.0.1:99999"], "--bind"),
+         (["train", "--synthetic", "20", "--threshold", "nan", *SMALL_TRAIN], "--threshold"),
+         (["eval", "--threshold", "1.5"], "--threshold"),
+         (["predict", "--threshold", "-5"], "--threshold"),
+         (["serve", "--threshold", "nan"], "--threshold")],
     )
     def test_flag_out_of_range_exits_2_with_one_line(
         self, argv, flag, fixture_model_path, tmp_path, capsys, monkeypatch
@@ -380,6 +394,18 @@ class TestUsageErrors:
         assert len(err.splitlines()) == 1 and f"argument {flag}:" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_bad_pd_seed_exits_2_unless_seed_is_given(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PD_SEED", "abc")
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["synth", "--n", "20", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert len(err.splitlines()) == 1 and "argument --seed: invalid int value: 'abc'" in err
+        assert not out.exists()
+        code, stdout = run_cli(["synth", "--n", "20", "--seed", "3", "--out", str(out)])
+        assert code == 0 and json.loads(stdout)["written"] == 20
 
     @pytest.mark.parametrize("command", ["train", "eval", "bench"])
     def test_non_utf8_input_exits_1_naming_the_file(self, command, fixture_model_path, tmp_path, capsys):

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import labels
 from phishdefense.codec import default_vocab
 from phishdefense.data import LabeledDataset, batches, load_csv, split
 from phishdefense.errors import DataError
@@ -107,6 +108,9 @@ class TestSplit:
     def test_too_small(self):
         with pytest.raises(DataError):
             split(toy_dataset(1), 0.5, seed=0)
+        # round(0.75 * 2) = 2 would leave the test side empty
+        with pytest.raises(DataError, match="cannot split 2 records at ratio 0.75"):
+            split(toy_dataset(2), 0.75, seed=0)
 
     def test_bad_ratio(self):
         with pytest.raises(ValueError):
@@ -133,5 +137,5 @@ class TestBatches:
 
     def test_epoch_labels_are_permutation(self):
         ds = toy_dataset(23)
-        labels = np.concatenate([b[2] for b in batches(ds, 4, 3, VOCAB, 8)])
-        assert Counter(labels.tolist()) == Counter(ds.labels().tolist())
+        epoch = np.concatenate([b[2] for b in batches(ds, 4, 3, VOCAB, 8)])
+        assert Counter(epoch.tolist()) == Counter(labels(ds).tolist())

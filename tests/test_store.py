@@ -12,7 +12,7 @@ from phishdefense.errors import (
     ModelVersionError,
 )
 from phishdefense.model import ModelConfig, build_model, default_config, predict
-from phishdefense.store import load_model, save_model, tensor_order
+from phishdefense.store import atomic_write, load_model, save_model, tensor_order
 
 VOCAB = default_vocab()
 
@@ -64,6 +64,20 @@ class TestSaveModel:
         assert not target_dir.exists()
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_atomic_write_keeps_the_old_file_and_no_temp_file(self, tmp_path):
+        target = tmp_path / "f.bin"
+        target.write_bytes(b"old")
+        with pytest.raises(RuntimeError):
+            with atomic_write(str(target)) as fh:
+                fh.write(b"new")
+                raise RuntimeError("writer failed")
+        assert target.read_bytes() == b"old"
+        assert list(tmp_path.iterdir()) == [target]
+        with atomic_write(str(target)) as fh:
+            fh.write(b"new")
+        assert target.read_bytes() == b"new"
+        assert list(tmp_path.iterdir()) == [target]
+
     def test_save_twice_byte_identical(self, tmp_path):
         m = small_model()
         p1, p2 = str(tmp_path / "a.pdm"), str(tmp_path / "b.pdm")
@@ -103,6 +117,15 @@ class TestLoadModel:
         assert loaded.config.dense_dims == m.config.dense_dims
         assert loaded.config.max_len == m.config.max_len
         assert loaded.threshold == pytest.approx(0.7, abs=1e-7)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), -0.5, 1.5])
+    def test_threshold_outside_unit_interval_refused(self, tmp_path, threshold):
+        m = small_model()
+        m.threshold = threshold
+        path = str(tmp_path / "m.pdm")
+        save_model(m, path)
+        with pytest.raises(ModelFormatError, match=r"threshold .* outside \[0, 1\]"):
+            load_model(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pdm"

@@ -1,10 +1,12 @@
 import importlib
 import json
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from conftest import labels
 from phishdefense.codec import default_vocab
 from phishdefense.data import LabeledDataset, split
 from phishdefense.errors import ConfigError, ModelFormatError
@@ -157,10 +159,10 @@ class TestTrain:
         ck, hist = str(tmp_path / "ck"), tmp_path / "hist.jsonl"
         save = train_module._save_checkpoint
 
-        def crash_at_epoch_1(path, m, best, adam, sched, history, *rest):
+        def crash_at_epoch_1(path, m, best, adam, history, *rest):
             if history[-1].epoch == 1:
                 raise OSError("disk full")
-            save(path, m, best, adam, sched, history, *rest)
+            save(path, m, best, adam, history, *rest)
 
         monkeypatch.setattr(train_module, "_save_checkpoint", crash_at_epoch_1)
         with pytest.raises(OSError):
@@ -172,6 +174,46 @@ class TestTrain:
         epochs = [json.loads(line)["epoch"] for line in hist.read_text().splitlines()]
         assert epochs == [0, 1, 2]
         assert [r.epoch for r in history] == [0, 1, 2]
+
+    def test_resume_of_an_early_stopped_run_trains_nothing(self, tmp_path):
+        pair = split(make_synthetic_corpus(100, 0.5, 4), 0.75, 4)
+        cfg = TrainConfig(epochs=30, batch_size=50, initial_lr=1e-5, seed=4)
+        ck, hist = str(tmp_path / "ck"), tmp_path / "hist.jsonl"
+        best, history = train(tiny_model(seed=4), pair, cfg, checkpoint_dir=ck, history_path=str(hist))
+        assert len(history) < cfg.epochs  # stopped early
+        written = hist.read_bytes()
+        state = (tmp_path / "ck" / "train_state.npz").read_bytes()
+        resumed_model = tiny_model(seed=4)
+        resumed, resumed_history = train(resumed_model, pair, cfg, checkpoint_dir=ck,
+                                         resume=True, history_path=str(hist))
+        assert resumed_history == history
+        assert hist.read_bytes() == written
+        assert (tmp_path / "ck" / "train_state.npz").read_bytes() == state  # no epoch ran
+        for k in best.params:
+            np.testing.assert_array_equal(resumed.params[k], best.params[k])
+
+    @pytest.mark.parametrize("stop", [5, 10])
+    def test_resume_across_a_rate_decay_is_bitwise(self, tmp_path, stop):
+        pair = split(make_synthetic_corpus(100, 0.5, 9), 0.75, 9)
+        cfg = TrainConfig(epochs=30, batch_size=50, initial_lr=2.0, seed=9)
+        full_model = tiny_model(seed=9)
+        full, history = train(full_model, pair, cfg)
+        decay = next(r.epoch for r in history if r.lr != cfg.initial_lr)
+        assert 5 < decay < 10 < len(history)  # one resume before the decay, one after
+        ck = str(tmp_path / "ck")
+        train(tiny_model(seed=9), pair, TrainConfig(epochs=stop, batch_size=50, initial_lr=2.0, seed=9),
+              checkpoint_dir=ck)
+        resumed_model = tiny_model(seed=9)
+        resumed, resumed_history = train(resumed_model, pair, cfg, checkpoint_dir=ck, resume=True)
+        strip = lambda h: [{**asdict(r), "wall_time": 0.0} for r in h]
+        assert strip(resumed_history) == strip(history)
+        for k in full.params:
+            np.testing.assert_array_equal(resumed.params[k], full.params[k])
+            np.testing.assert_array_equal(resumed_model.params[k], full_model.params[k])
+        sched = SchedulerState(current_lr=cfg.initial_lr)
+        for r in resumed_history:  # each record's rate is the replay of the losses before it
+            assert r.lr == sched.current_lr
+            sched = scheduler_update(sched, r.train_loss)
 
     @pytest.mark.parametrize(
         "change, fields",
@@ -225,12 +267,12 @@ class TestTrain:
         train(tiny_model(seed=8), pair, TrainConfig(epochs=2, batch_size=50, seed=8),
               checkpoint_dir=str(tmp_path))
         meta = json.loads(bytes(np.load(tmp_path / "train_state.npz")["__meta__"]).decode())
-        assert set(meta) == {"config", "train_config", "data", "adam_step", "sched", "history"}
+        assert set(meta) == {"config", "train_config", "data", "history"}
         assert set(meta["train_config"]) == {"batch_size", "initial_lr", "seed"}
-        assert meta["adam_step"] == 2 * 2  # 75 training URLs in batches of 50, 2 epochs
 
     @pytest.mark.parametrize(
-        "damage", ["truncate", "flip_member_byte", "drop_tensor", "reshape_tensor", "drop_meta_field"]
+        "damage", ["truncate", "flip_member_byte", "drop_tensor", "reshape_tensor", "drop_meta_field",
+                   "config_not_object", "meta_not_object"]
     )
     def test_resume_refuses_a_damaged_checkpoint(self, tmp_path, damage):
         pair = split(make_synthetic_corpus(100, 0.5, 8), 0.75, 8)
@@ -252,7 +294,12 @@ class TestTrain:
                 data["best.embed"] = data["best.embed"][:-1]
             else:
                 meta = json.loads(bytes(data["__meta__"]).decode())
-                del meta["sched"]
+                if damage == "drop_meta_field":
+                    del meta["history"]
+                elif damage == "config_not_object":
+                    meta["config"] = "x"
+                else:
+                    meta = [meta]
                 data["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
             np.savez(state, **data)
         message = {
@@ -260,7 +307,9 @@ class TestTrain:
             "flip_member_byte": "unreadable training checkpoint: BadZipFile",
             "drop_tensor": r"do not match the model's parameters: m2\.cell\.W_z$",
             "reshape_tensor": r"do not match the model's parameters: best\.embed$",
-            "drop_meta_field": r"incomplete training checkpoint meta: KeyError\('sched'\)$",
+            "drop_meta_field": r"incomplete training checkpoint meta: KeyError\('history'\)$",
+            "config_not_object": "checkpoint model config is not a JSON object$",
+            "meta_not_object": "checkpoint meta is not a JSON object$",
         }[damage]
         with pytest.raises(ModelFormatError, match=f"train_state\\.npz: .*{message}"):
             train(tiny_model(seed=8), pair, TrainConfig(epochs=2, batch_size=50, seed=8),
@@ -369,7 +418,7 @@ class TestScoreBatch:
 class TestSyntheticCorpus:
     def test_label_counts(self):
         ds = make_synthetic_corpus(1000, 0.5, 0)
-        assert int(ds.labels().sum()) == 500
+        assert int(labels(ds).sum()) == 500
 
     def test_deterministic(self):
         a = make_synthetic_corpus(100, 0.3, 9)
