@@ -71,64 +71,73 @@ def _build_parser() -> argparse.ArgumentParser:
     # bad PD_SEED is a usage error unless --seed is given
     seed = {"type": int, "default": os.environ.get("PD_SEED", "0")}
     probability = _in_range(float, 0.0, 1.0)
+    positive = _in_range(int, 1)
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    def common_model_flags(p):
-        p.add_argument("--cell", choices=["lstm", "gru"], default="gru")
-        p.add_argument("--max-len", type=int, default=200)
-        p.add_argument("--embed", type=int, default=32)
-        p.add_argument("--hidden", type=int, default=128)
-        p.add_argument("--seed", **seed)
+    scored = argparse.ArgumentParser(add_help=False)  # a model that answers at a threshold
+    scored.add_argument("--model", required=True)
+    scored.add_argument("--threshold", type=probability,
+                        help="phishing above this score (default: the model's own)")
 
     p = sub.add_parser("train", help="train a model on a CSV or synthetic corpus")
-    p.add_argument("--data", help="url,label CSV path")
-    p.add_argument("--synthetic", type=_in_range(int, MIN_CORPUS),
-                   help="generate a synthetic corpus of N URLs")
+    p.set_defaults(run=cmd_train)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", help="url,label CSV path")
+    source.add_argument("--synthetic", type=_in_range(int, MIN_CORPUS),
+                        help="generate a synthetic corpus of N URLs")
     p.add_argument("--epochs", type=_in_range(int, 0), default=40)
-    p.add_argument("--batch", type=_in_range(int, 1), default=500)
+    p.add_argument("--batch", type=positive, default=500)
     p.add_argument("--lr", type=_in_range(float, MIN_LR), default=1e-3)
     p.add_argument("--threshold", type=probability, default=0.5)
     p.add_argument("--out", required=True, help="output model path (.pdm)")
     p.add_argument("--history", help="history JSONL path (default: <out>.history.jsonl)")
-    p.add_argument("--workdir", help="checkpoint directory (enables crash resume)")
-    p.add_argument("--resume", action="store_true")
+    p.add_argument("--workdir", help="checkpoint directory; a rerun resumes the run it holds")
     p.add_argument("--dedup", action="store_true")
     p.add_argument("--stratify", action="store_true")
-    common_model_flags(p)
+    p.add_argument("--cell", choices=["lstm", "gru"], default="gru")
+    p.add_argument("--max-len", type=positive, default=200)
+    p.add_argument("--embed", type=positive, default=32)
+    p.add_argument("--hidden", type=positive, default=128)
+    p.add_argument("--seed", **seed)
 
-    p = sub.add_parser("eval", help="evaluate a model on a labeled CSV")
-    p.add_argument("--model", required=True)
+    p = sub.add_parser("eval", parents=[scored], help="evaluate a model on a labeled CSV")
+    p.set_defaults(run=cmd_eval)
     p.add_argument("--data", required=True)
-    p.add_argument("--threshold", type=probability, default=None)
 
-    p = sub.add_parser("predict", help="score one URL or a stream of URLs")
-    p.add_argument("--model", required=True)
-    p.add_argument("--url")
-    p.add_argument("--stdin", action="store_true")
-    p.add_argument("--threshold", type=probability, default=None)
+    p = sub.add_parser("predict", parents=[scored], help="score one URL or a stream of URLs")
+    p.set_defaults(run=cmd_predict)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--url")
+    source.add_argument("--stdin", action="store_true", help="score each line of stdin")
 
     p = sub.add_parser("bench", help="single-URL latency statistics")
+    p.set_defaults(run=cmd_bench)
     p.add_argument("--model", required=True)
     p.add_argument("--urls", help="file with one URL per line (default: built-in sample)")
-    p.add_argument("--reps", type=_in_range(int, 1), default=100)
+    p.add_argument("--reps", type=positive, default=100)
 
     p = sub.add_parser("synth", help="write a synthetic corpus CSV")
+    p.set_defaults(run=cmd_synth)
     p.add_argument("--n", type=_in_range(int, MIN_CORPUS), required=True)
     p.add_argument("--fraction", type=probability, default=0.5)
     p.add_argument("--seed", **seed)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("serve", help="HTTP scoring endpoint")
-    p.add_argument("--model", required=True)
+    p = sub.add_parser("serve", parents=[scored], help="HTTP scoring endpoint")
+    p.set_defaults(run=cmd_serve)
     p.add_argument("--bind", type=_address, default="127.0.0.1:8080")
-    p.add_argument("--threshold", type=probability, default=None)
     return ap
 
 
+def _scored_model(args) -> ModelGraph:
+    """The --model file, answering at --threshold when one is given."""
+    model = load_model(args.model)
+    if args.threshold is not None:
+        model.threshold = args.threshold
+    return model
+
+
 def cmd_train(args) -> int:
-    if not args.data and args.synthetic is None:
-        _log("train: either --data or --synthetic is required")
-        return 2
     if args.synthetic is not None:
         ds = make_synthetic_corpus(args.synthetic, 0.5, args.seed)
     else:
@@ -158,15 +167,13 @@ def cmd_train(args) -> int:
         cfg,
         vocab=vocab,
         checkpoint_dir=args.workdir,
-        resume=args.resume,
         history_path=history_path,
         log=_log,
     )
-    best.threshold = args.threshold
     save_model(best, args.out)
     # latency is measured by `bench`, not here: the metrics JSON must be
     # byte-identical across reruns with the same flags
-    report = evaluate(best, pair.test, args.threshold, vocab)
+    report = evaluate(best, pair.test, best.threshold, vocab)
     out = report.to_dict()
     out["epochs_run"] = len(history)
     out["model_path"] = args.out
@@ -175,24 +182,19 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = load_model(args.model)
-    threshold = args.threshold if args.threshold is not None else model.threshold
+    model = _scored_model(args)
     ds = load_csv(args.data)
-    report = evaluate(model, ds, threshold, measure_latency=True)
+    report = evaluate(model, ds, model.threshold, measure_latency=True)
     print(json.dumps(report.to_dict()))
     return 0
 
 
 def cmd_predict(args) -> int:
-    if not args.url and not args.stdin:
-        _log("predict: either --url or --stdin is required")
-        return 2
-    model = load_model(args.model)
-    threshold = args.threshold if args.threshold is not None else model.threshold
+    model = _scored_model(args)
     vocab = default_vocab()
-    urls = [args.url] if args.url else (line.rstrip("\n") for line in sys.stdin)
+    urls = (line.rstrip("\n") for line in sys.stdin) if args.stdin else [args.url]
     for url in urls:
-        verdict, score = predict(model, url, vocab, threshold)
+        verdict, score = predict(model, url, vocab, model.threshold)
         print(json.dumps({"url": url, "score": score, "verdict": verdict}))
     return 0
 
@@ -232,7 +234,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def make_handler(model: ModelGraph, threshold: float):
+def make_handler(model: ModelGraph):
     vocab = default_vocab()
 
     class Handler(BaseHTTPRequestHandler):
@@ -280,7 +282,7 @@ def make_handler(model: ModelGraph, threshold: float):
                 self._reply(400, {"error": f"bad request: {e}"})
                 return
             try:
-                verdict, score = predict(model, url, vocab, threshold)
+                verdict, score = predict(model, url, vocab, model.threshold)
             except Exception:  # the server keeps running; the client gets a JSON reply
                 _log(traceback.format_exc())
                 self._reply(500, {"error": "internal error"})
@@ -291,11 +293,10 @@ def make_handler(model: ModelGraph, threshold: float):
 
 
 def cmd_serve(args) -> int:
-    model = load_model(args.model)
-    threshold = args.threshold if args.threshold is not None else model.threshold
+    model = _scored_model(args)
     host, port = args.bind
     try:
-        server = ThreadingHTTPServer((host, port), make_handler(model, threshold))
+        server = ThreadingHTTPServer((host, port), make_handler(model))
     except OSError as e:
         _log(f"serve: cannot bind {host}:{port}: {e}")
         return 1
@@ -309,20 +310,10 @@ def cmd_serve(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "predict": cmd_predict,
-    "bench": cmd_bench,
-    "synth": cmd_synth,
-    "serve": cmd_serve,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.subcommand](args)
+        return args.run(args)
     except PhishDefenseError as e:
         _log(f"error: {e}")
         return 1

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import time
 import zipfile
 from dataclasses import asdict, dataclass
@@ -227,7 +228,20 @@ def _load_checkpoint(path: str, m: ModelGraph, run: Dict[str, Dict]):
         history = [EpochRecord(**r) for r in meta["history"]]
     except (KeyError, TypeError, ValueError) as e:
         raise ModelFormatError(f"{path}: incomplete training checkpoint meta: {e!r}") from e
-    return (*groups.values(), history)
+    return (*groups.values(), [_checked_record(path, i, r) for i, r in enumerate(history)])
+
+
+def _checked_record(path: str, i: int, r: EpochRecord) -> EpochRecord:
+    """Record i, epoch i, with every other field a finite float (JSON ints widened)."""
+    checked = {}
+    for name, value in vars(r).items():
+        kind = int if name == "epoch" else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kind) or not abs(value) <= sys.float_info.max:
+            raise ModelFormatError(f"{path}: checkpoint history {name} is not a finite number: {value!r:.40}")
+        checked[name] = value if name == "epoch" else float(value)
+    if r.epoch != i:
+        raise ModelFormatError(f"{path}: checkpoint history record {i} is of epoch {r.epoch}")
+    return EpochRecord(**checked)
 
 
 def train(
@@ -236,14 +250,16 @@ def train(
     cfg: TrainConfig,
     vocab: Optional[Vocab] = None,
     checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
     history_path: Optional[str] = None,
     log=None,
 ) -> Tuple[ModelGraph, List[EpochRecord]]:
     """Run the full regimen: Adam + plateau scheduler + early stopping.
 
     The scheduler and early stop monitor TRAINING loss; the returned model
-    carries the weights from the best validation-accuracy epoch.
+    carries the weights from the best validation-accuracy epoch and the
+    model's threshold. A checkpoint_dir that holds a checkpoint resumes it,
+    so rerunning a finished run trains nothing; a checkpoint of another run
+    is refused.
     """
     cfg.validate()
     vocab = vocab or default_vocab()
@@ -256,9 +272,9 @@ def train(
         os.makedirs(checkpoint_dir, exist_ok=True)
         state_path = os.path.join(checkpoint_dir, "train_state.npz")
         run = _run_identity(model, cfg, data)
-        if resume and os.path.exists(state_path):
+        if os.path.exists(state_path):
             model.params, best, m1, m2, history = _load_checkpoint(state_path, model, run)
-            best_model = ModelGraph(config=model.config, params=best)
+            best_model = ModelGraph(config=model.config, params=best, threshold=model.threshold)
     n_train = len(data.train)
     # the rest of the state replays from the history, alike for fresh and resumed runs
     sched = SchedulerState(current_lr=cfg.initial_lr)

@@ -1,9 +1,13 @@
+import argparse
 import io
 import json
+import re
+import shlex
 import socket
 import threading
 import time
 from contextlib import contextmanager, redirect_stdout
+from pathlib import Path
 
 import pytest
 import requests
@@ -11,6 +15,8 @@ import requests
 from conftest import confusion_fixture, labels
 from phishdefense import cli
 from phishdefense.cli import main, make_handler
+from phishdefense.codec import default_vocab
+from phishdefense.model import predict
 from phishdefense.store import load_model, save_model
 from http.server import ThreadingHTTPServer
 
@@ -48,8 +54,9 @@ def trained_model_path(tmp_path_factory):
 
 class TestTrainCommand:
     def test_missing_data_source_exits_2(self):
-        code, _ = run_cli(["train", "--out", "/tmp/x.pdm"])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["train", "--out", "/tmp/x.pdm"])
+        assert exc.value.code == 2
 
     def test_synthetic_train_writes_artifacts(self, trained_model_path):
         out, stdout, tmp = trained_model_path
@@ -81,7 +88,7 @@ class TestTrainCommand:
                 "--workdir", str(tmp_path / "work"), "--out", str(tmp_path / "m.pdm")]
         assert run_cli(args + ["--cell", "gru"])[0] == 0
         capsys.readouterr()
-        code, stdout = run_cli(args + ["--cell", "lstm", "--epochs", "2", "--resume"])
+        code, stdout = run_cli(args + ["--cell", "lstm", "--epochs", "2"])
         err = capsys.readouterr().err
         assert code == 1
         assert stdout == ""
@@ -94,14 +101,41 @@ class TestTrainCommand:
                 "--out", str(tmp_path / "m.pdm")]
         assert run_cli(args + ["--synthetic", "40", "--epochs", "1"])[0] == 0
         capsys.readouterr()
-        code, stdout = run_cli(args + ["--synthetic", "80", "--epochs", "2", "--lr", "0.5",
-                                       "--resume"])
+        code, stdout = run_cli(args + ["--synthetic", "80", "--epochs", "2", "--lr", "0.5"])
         err = capsys.readouterr().err
         assert code == 1
         assert stdout == ""
         assert "error:" in err and "initial_lr" in err and "train_sha256" in err
         assert "Traceback" not in err
 
+
+    def test_rerun_in_a_used_workdir_trains_nothing(self, tmp_path, capsys):
+        args = ["train", "--synthetic", "40", "--seed", "2", "--epochs", "2", "--batch", "20",
+                "--threshold", "0.3", *SMALL_TRAIN, "--workdir", str(tmp_path / "work"),
+                "--out", str(tmp_path / "m.pdm")]
+        code, first = run_cli(args)
+        assert code == 0
+        model = (tmp_path / "m.pdm").read_bytes()
+        state = (tmp_path / "work" / "train_state.npz").read_bytes()
+        capsys.readouterr()
+        code, again = run_cli(args)
+        err = capsys.readouterr().err
+        assert code == 0 and again == first
+        assert "epoch" not in err
+        assert (tmp_path / "m.pdm").read_bytes() == model
+        assert (tmp_path / "work" / "train_state.npz").read_bytes() == state
+
+    def test_rerun_with_another_lr_exits_1_and_keeps_the_checkpoint(self, tmp_path, capsys):
+        args = ["train", "--synthetic", "40", "--seed", "2", "--epochs", "1", "--batch", "20",
+                *SMALL_TRAIN, "--workdir", str(tmp_path / "work"), "--out", str(tmp_path / "m.pdm")]
+        assert run_cli(args)[0] == 0
+        state = (tmp_path / "work" / "train_state.npz").read_bytes()
+        capsys.readouterr()
+        code, stdout = run_cli(args + ["--lr", "0.01"])
+        err = capsys.readouterr().err
+        assert code == 1 and stdout == ""
+        assert len(err.splitlines()) == 1 and "initial_lr 0.001 != 0.01" in err
+        assert (tmp_path / "work" / "train_state.npz").read_bytes() == state
 
     def test_two_record_csv_exits_1_with_one_line(self, tmp_path, capsys):
         data = tmp_path / "two.csv"
@@ -122,7 +156,7 @@ class TestTrainCommand:
         blob = state.read_bytes()
         state.write_bytes(blob[: len(blob) // 2])
         capsys.readouterr()
-        code, stdout = run_cli(args + ["--epochs", "2", "--resume"])
+        code, stdout = run_cli(args + ["--epochs", "2"])
         err = capsys.readouterr().err
         assert code == 1
         assert stdout == ""
@@ -160,8 +194,15 @@ class TestPredictCommand:
         assert code == 1
 
     def test_no_url_source_exits_2(self, fixture_model_path):
-        code, _ = run_cli(["predict", "--model", fixture_model_path])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["predict", "--model", fixture_model_path])
+        assert exc.value.code == 2
+
+    def test_empty_url_is_scored(self, fixture_model_path):
+        code, out = run_cli(["predict", "--model", fixture_model_path, "--url", ""])
+        assert code == 0
+        verdict, score = predict(load_model(fixture_model_path), "", default_vocab())
+        assert json.loads(out) == {"url": "", "score": score, "verdict": verdict}
 
 
 class TestEvalCommand:
@@ -226,7 +267,7 @@ class TestSynthCommand:
 
 @contextmanager
 def serving(model):
-    server = ThreadingHTTPServer(("127.0.0.1", 0), make_handler(model, 0.5))
+    server = ThreadingHTTPServer(("127.0.0.1", 0), make_handler(model))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -376,7 +417,12 @@ class TestUsageErrors:
          (["train", "--synthetic", "20", "--threshold", "nan", *SMALL_TRAIN], "--threshold"),
          (["eval", "--threshold", "1.5"], "--threshold"),
          (["predict", "--threshold", "-5"], "--threshold"),
-         (["serve", "--threshold", "nan"], "--threshold")],
+         (["serve", "--threshold", "nan"], "--threshold"),
+         (["train", "--synthetic", "20", "--hidden", "0", "--embed", "3", "--max-len", "20"], "--hidden"),
+         (["train", "--synthetic", "20", "--embed", "0", "--hidden", "4", "--max-len", "20"], "--embed"),
+         (["train", "--synthetic", "20", "--max-len", "0", "--hidden", "4", "--embed", "3"], "--max-len"),
+         (["train", "--data", "corpus.csv", "--synthetic", "20", *SMALL_TRAIN], "--synthetic"),
+         (["predict", "--url", "a", "--stdin"], "--stdin")],
     )
     def test_flag_out_of_range_exits_2_with_one_line(
         self, argv, flag, fixture_model_path, tmp_path, capsys, monkeypatch
@@ -394,6 +440,16 @@ class TestUsageErrors:
         assert len(err.splitlines()) == 1 and f"argument {flag}:" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_resume_flag_is_gone(self, tmp_path, capsys):
+        work, out = tmp_path / "work", tmp_path / "m.pdm"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["train", "--synthetic", "20", *SMALL_TRAIN, "--workdir", str(work), "--resume",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert len(err.splitlines()) == 1 and "unrecognized arguments: --resume" in err
+        assert not work.exists() and not out.exists()
 
     def test_bad_pd_seed_exits_2_unless_seed_is_given(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PD_SEED", "abc")
@@ -421,3 +477,20 @@ class TestUsageErrors:
         assert code == 1 and stdout == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error:") and f"{bad}: not UTF-8 text" in err
+
+
+def test_readme_cli_matches_the_parser():
+    """The README's sections from "## CLI" on describe this parser."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("## CLI"):]
+    block = section.split("```")[1]
+    commands = [line.rpartition("| ")[2] for line in block.splitlines() if "phishdefense " in line]
+    assert commands
+    for command in commands:  # each example command line parses
+        argv = shlex.split(command)
+        assert argv[0] == "phishdefense"
+        cli._build_parser().parse_args(argv[1:])
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {flag for p in sub.choices.values() for a in p._actions for flag in a.option_strings}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert named and not named - declared, named - declared

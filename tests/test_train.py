@@ -5,14 +5,16 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import labels
 from phishdefense.codec import default_vocab
 from phishdefense.data import LabeledDataset, split
-from phishdefense.errors import ConfigError, ModelFormatError
+from phishdefense.errors import ConfigError, ModelFormatError, PhishDefenseError
 from phishdefense.model import ModelConfig, build_model, forward_batch, score_batch
 from phishdefense.train import (
     EARLY_STOP_PATIENCE,
+    EpochRecord,
     SchedulerState,
     TrainConfig,
     bench_inference,
@@ -149,7 +151,7 @@ class TestTrain:
         train(tiny_model(seed=5), pair, half_cfg, checkpoint_dir=str(ck))
         resumed_model = tiny_model(seed=5)
         resumed, _ = train(
-            resumed_model, pair, cfg, checkpoint_dir=str(ck), resume=True
+            resumed_model, pair, cfg, checkpoint_dir=str(ck)
         )
         for k in full.params:
             np.testing.assert_allclose(resumed.params[k], full.params[k], atol=1e-12)
@@ -170,7 +172,7 @@ class TestTrain:
                   checkpoint_dir=ck, history_path=str(hist))
         monkeypatch.setattr(train_module, "_save_checkpoint", save)
         _, history = train(tiny_model(seed=6), pair, TrainConfig(epochs=3, batch_size=50, seed=6),
-                           checkpoint_dir=ck, resume=True, history_path=str(hist))
+                           checkpoint_dir=ck, history_path=str(hist))
         epochs = [json.loads(line)["epoch"] for line in hist.read_text().splitlines()]
         assert epochs == [0, 1, 2]
         assert [r.epoch for r in history] == [0, 1, 2]
@@ -185,7 +187,7 @@ class TestTrain:
         state = (tmp_path / "ck" / "train_state.npz").read_bytes()
         resumed_model = tiny_model(seed=4)
         resumed, resumed_history = train(resumed_model, pair, cfg, checkpoint_dir=ck,
-                                         resume=True, history_path=str(hist))
+                                         history_path=str(hist))
         assert resumed_history == history
         assert hist.read_bytes() == written
         assert (tmp_path / "ck" / "train_state.npz").read_bytes() == state  # no epoch ran
@@ -204,7 +206,7 @@ class TestTrain:
         train(tiny_model(seed=9), pair, TrainConfig(epochs=stop, batch_size=50, initial_lr=2.0, seed=9),
               checkpoint_dir=ck)
         resumed_model = tiny_model(seed=9)
-        resumed, resumed_history = train(resumed_model, pair, cfg, checkpoint_dir=ck, resume=True)
+        resumed, resumed_history = train(resumed_model, pair, cfg, checkpoint_dir=ck)
         strip = lambda h: [{**asdict(r), "wall_time": 0.0} for r in h]
         assert strip(resumed_history) == strip(history)
         for k in full.params:
@@ -227,7 +229,7 @@ class TestTrain:
         other = tiny_model(seed=8, **change)
         with pytest.raises(ConfigError, match=fields):
             train(other, pair, TrainConfig(epochs=2, batch_size=50, seed=8),
-                  checkpoint_dir=str(tmp_path), resume=True)
+                  checkpoint_dir=str(tmp_path))
 
     def test_resume_refuses_checkpoint_without_config(self, tmp_path):
         pair = split(make_synthetic_corpus(100, 0.5, 8), 0.75, 8)
@@ -241,7 +243,7 @@ class TestTrain:
         np.savez(state, **data)
         with pytest.raises(ConfigError, match="no model config"):
             train(tiny_model(seed=8), pair, TrainConfig(epochs=2, batch_size=50, seed=8),
-                  checkpoint_dir=str(tmp_path), resume=True)
+                  checkpoint_dir=str(tmp_path))
 
     @pytest.mark.parametrize(
         "change, fields",
@@ -260,7 +262,7 @@ class TestTrain:
         # epochs differs in every case: extending a run is allowed
         cfg = TrainConfig(**{"epochs": 2, "batch_size": 50, "seed": 8, **change})
         with pytest.raises(ConfigError, match=fields):
-            train(tiny_model(seed=8), pair, cfg, checkpoint_dir=str(tmp_path), resume=True)
+            train(tiny_model(seed=8), pair, cfg, checkpoint_dir=str(tmp_path))
 
     def test_checkpoint_meta_stores_nothing_derivable(self, tmp_path):
         pair = split(make_synthetic_corpus(100, 0.5, 8), 0.75, 8)
@@ -272,7 +274,8 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "damage", ["truncate", "flip_member_byte", "drop_tensor", "reshape_tensor", "drop_meta_field",
-                   "config_not_object", "meta_not_object"]
+                   "config_not_object", "meta_not_object", "record_value_not_number", "record_value_null",
+                   "epoch_out_of_order"]
     )
     def test_resume_refuses_a_damaged_checkpoint(self, tmp_path, damage):
         pair = split(make_synthetic_corpus(100, 0.5, 8), 0.75, 8)
@@ -298,6 +301,12 @@ class TestTrain:
                     del meta["history"]
                 elif damage == "config_not_object":
                     meta["config"] = "x"
+                elif damage == "record_value_not_number":
+                    meta["history"][0]["train_loss"] = "x"
+                elif damage == "record_value_null":
+                    meta["history"][0]["val_accuracy"] = None
+                elif damage == "epoch_out_of_order":
+                    meta["history"][0]["epoch"] = 7
                 else:
                     meta = [meta]
                 data["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
@@ -310,10 +319,54 @@ class TestTrain:
             "drop_meta_field": r"incomplete training checkpoint meta: KeyError\('history'\)$",
             "config_not_object": "checkpoint model config is not a JSON object$",
             "meta_not_object": "checkpoint meta is not a JSON object$",
+            "record_value_not_number": "checkpoint history train_loss is not a finite number: 'x'$",
+            "record_value_null": "checkpoint history val_accuracy is not a finite number: None$",
+            "epoch_out_of_order": "checkpoint history record 0 is of epoch 7$",
         }[damage]
         with pytest.raises(ModelFormatError, match=f"train_state\\.npz: .*{message}"):
             train(tiny_model(seed=8), pair, TrainConfig(epochs=2, batch_size=50, seed=8),
-                  checkpoint_dir=str(tmp_path), resume=True)
+                  checkpoint_dir=str(tmp_path))
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=st.sampled_from(list(EpochRecord.__dataclass_fields__)),
+           value=st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+                              lambda kids: st.lists(kids) | st.dictionaries(st.text(), kids),
+                              max_leaves=5))
+    def test_any_json_record_value_loads_or_is_refused(self, tmp_path, field, value):
+        # a 1-epoch checkpoint resumed with epochs=1: the load and the replay run, no epoch trains
+        pair = split(make_synthetic_corpus(100, 0.5, 8), 0.75, 8)
+        cfg = TrainConfig(epochs=1, batch_size=50, seed=8)
+        ck = tmp_path / "ck"
+        state = ck / "train_state.npz"
+        if not state.exists():
+            train(tiny_model(seed=8), pair, cfg, checkpoint_dir=str(ck))
+            (tmp_path / "clean.npz").write_bytes(state.read_bytes())
+        data = dict(np.load(tmp_path / "clean.npz"))
+        meta = json.loads(bytes(data["__meta__"]).decode())
+        meta["history"][0][field] = value
+        data["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(state, **data)
+        try:
+            train(tiny_model(seed=8), pair, cfg, checkpoint_dir=str(ck))
+        except PhishDefenseError:
+            pass
+
+    def test_rerun_that_trains_nothing_keeps_the_callers_threshold(self, tmp_path):
+        pair = split(make_synthetic_corpus(100, 0.5, 8), 0.75, 8)
+        cfg = TrainConfig(epochs=1, batch_size=50, seed=8)
+        ck = tmp_path / "ck"
+        model = tiny_model(seed=8)
+        model.threshold = 0.3
+        first, history = train(model, pair, cfg, checkpoint_dir=str(ck))
+        state = (ck / "train_state.npz").read_bytes()
+        rerun = tiny_model(seed=8)
+        rerun.threshold = 0.3
+        best, rerun_history = train(rerun, pair, cfg, checkpoint_dir=str(ck))
+        assert rerun_history == history
+        assert (ck / "train_state.npz").read_bytes() == state  # no epoch ran
+        assert best.threshold == first.threshold == 0.3
+        for k in first.params:
+            np.testing.assert_array_equal(best.params[k], first.params[k])
 
     def test_checkpoints_pruned_to_best_and_latest(self, tmp_path):
         pair = split(make_synthetic_corpus(100, 0.5, 2), 0.75, 2)
