@@ -16,13 +16,11 @@ from .store import load_model, save_model
 from .train import (
     EpochRecord,
     MetricsReport,
-    SchedulerState,
     TrainConfig,
     bench_inference,
-    early_stop_check,
     evaluate,
     make_synthetic_corpus,
-    scheduler_update,
+    plateau,
     train,
 )
 

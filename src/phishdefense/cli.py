@@ -34,6 +34,12 @@ MAX_REQUEST_BODY = 16 * 1024
 # seconds a serve connection may wait on its client (for a request line, or a
 # body shorter than its Content-Length) before it is closed
 REQUEST_TIMEOUT_S = 10.0
+LATENCY_SAMPLE = 50  # URLs eval times single-URL predict on
+
+
+class _Server(ThreadingHTTPServer):
+    # socketserver's listen backlog of 5 drops most connects of a burst
+    request_queue_size = 128
 
 
 def _log(msg: str) -> None:
@@ -159,13 +165,11 @@ def cmd_train(args) -> int:
         )
     )
     model.threshold = args.threshold
-    vocab = default_vocab()
     history_path = args.history or args.out + ".history.jsonl"
     best, history = train(
         model,
         pair,
         cfg,
-        vocab=vocab,
         checkpoint_dir=args.workdir,
         history_path=history_path,
         log=_log,
@@ -173,7 +177,7 @@ def cmd_train(args) -> int:
     save_model(best, args.out)
     # latency is measured by `bench`, not here: the metrics JSON must be
     # byte-identical across reruns with the same flags
-    report = evaluate(best, pair.test, best.threshold, vocab)
+    report = evaluate(best, pair.test)
     out = report.to_dict()
     out["epochs_run"] = len(history)
     out["model_path"] = args.out
@@ -184,7 +188,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = _scored_model(args)
     ds = load_csv(args.data)
-    report = evaluate(model, ds, model.threshold, measure_latency=True)
+    report = evaluate(model, ds)
+    urls = [url for url, _ in ds.records[:LATENCY_SAMPLE]]
+    report.mean_inference_seconds = bench_inference(model, urls, len(urls))["mean"]
     print(json.dumps(report.to_dict()))
     return 0
 
@@ -192,7 +198,7 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     model = _scored_model(args)
     vocab = default_vocab()
-    urls = (line.rstrip("\n") for line in sys.stdin) if args.stdin else [args.url]
+    urls = (line.rstrip("\r\n") for line in sys.stdin) if args.stdin else [args.url]
     for url in urls:
         verdict, score = predict(model, url, vocab, model.threshold)
         print(json.dumps({"url": url, "score": score, "verdict": verdict}))
@@ -296,7 +302,7 @@ def cmd_serve(args) -> int:
     model = _scored_model(args)
     host, port = args.bind
     try:
-        server = ThreadingHTTPServer((host, port), make_handler(model))
+        server = _Server((host, port), make_handler(model))
     except OSError as e:
         _log(f"serve: cannot bind {host}:{port}: {e}")
         return 1

@@ -54,7 +54,7 @@ def xavier_init(rows: int, cols: int, seed: int) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Optimizer state for one parameter set. alpha is mutated by the scheduler;
+    """Optimizer state for one parameter set. train() sets alpha each epoch;
     beta1, beta2 and epsilon are Kingma & Ba's defaults, fixed."""
 
     beta1: ClassVar[float] = 0.9

@@ -1,4 +1,4 @@
-"""Training loop, plateau LR scheduler, early stopping, metrics, synthetic corpus."""
+"""Training loop, plateau rate decay and early stopping, metrics, synthetic corpus."""
 
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ EARLY_STOP_PATIENCE = 6
 SPLIT_RATIO = 0.75
 MIN_CORPUS = 10  # smallest synthetic corpus
 EVAL_BATCH = 1000
-LATENCY_SAMPLE = 50  # URLs evaluate() times single-URL predict on
 BENCH_WARMUP = 3  # untimed predict calls before bench_inference measures
 
 
@@ -45,13 +44,6 @@ class TrainConfig:
     def validate(self) -> None:
         if not self.initial_lr >= MIN_LR:
             raise ValueError(f"initial_lr must be >= {MIN_LR:g}, got {self.initial_lr}")
-
-
-@dataclass
-class SchedulerState:
-    current_lr: float
-    best_loss: float = float("inf")
-    epochs_since_improvement: int = 0
 
 
 @dataclass
@@ -85,38 +77,24 @@ class MetricsReport:
         return d
 
 
-def scheduler_update(s: SchedulerState, epoch_train_loss: float) -> SchedulerState:
-    """Plateau decay on training loss: after LR_PATIENCE stagnant epochs,
-    multiply the rate by LR_FACTOR, floored at MIN_LR."""
-    if not np.isfinite(epoch_train_loss):
-        raise NumericError(f"non-finite training loss {epoch_train_loss}")
-    if epoch_train_loss < s.best_loss - IMPROVE_TOL:
-        return SchedulerState(
-            current_lr=s.current_lr, best_loss=epoch_train_loss, epochs_since_improvement=0
-        )
-    stagnant = s.epochs_since_improvement + 1
-    if stagnant >= LR_PATIENCE:
-        return SchedulerState(
-            current_lr=max(s.current_lr * LR_FACTOR, MIN_LR),
-            best_loss=s.best_loss,
-            epochs_since_improvement=0,
-        )
-    return SchedulerState(
-        current_lr=s.current_lr, best_loss=s.best_loss, epochs_since_improvement=stagnant
-    )
+def plateau(initial_lr: float, losses: Sequence[float]) -> Tuple[float, bool]:
+    """The rate and the stop decision after the given training losses.
 
-
-def early_stop_check(history: Sequence[float]) -> str:
-    """'stop' once the running best has not improved for EARLY_STOP_PATIENCE epochs."""
-    best = float("inf")
-    stagnant = 0
-    for loss in history:
+    A loss below the running best by more than IMPROVE_TOL improves it; every
+    LR_PATIENCE-th epoch since the last improvement multiplies the rate by
+    LR_FACTOR, floored at MIN_LR, and EARLY_STOP_PATIENCE of them stop.
+    """
+    lr, best, stagnant = initial_lr, float("inf"), 0
+    for loss in losses:
+        if not np.isfinite(loss):
+            raise NumericError(f"non-finite training loss {loss}")
         if loss < best - IMPROVE_TOL:
-            best = loss
-            stagnant = 0
+            best, stagnant = loss, 0
         else:
             stagnant += 1
-    return "stop" if stagnant >= EARLY_STOP_PATIENCE else "continue"
+            if stagnant % LR_PATIENCE == 0:
+                lr = max(lr * LR_FACTOR, MIN_LR)
+    return lr, stagnant >= EARLY_STOP_PATIENCE
 
 
 def _score(
@@ -159,8 +137,8 @@ def _run_identity(m: ModelGraph, cfg: TrainConfig, data: SplitPair) -> Dict[str,
 
 def _save_checkpoint(path: str, m: ModelGraph, best: ModelGraph, adam: AdamState,
                      history: List[EpochRecord], run: Dict[str, Dict]) -> None:
-    """The run's identity, its history and the four tensor groups: the
-    scheduler state and Adam's rate and step replay from the history."""
+    """The run's identity, its history and the four tensor groups: Adam's
+    rate and step and the stop decision replay from the history."""
     epoch = history[-1].epoch
     tensors = {f"cur.{k}": v for k, v in m.params.items()}
     tensors.update({f"best.{k}": v for k, v in best.params.items()})
@@ -253,11 +231,11 @@ def train(
     history_path: Optional[str] = None,
     log=None,
 ) -> Tuple[ModelGraph, List[EpochRecord]]:
-    """Run the full regimen: Adam + plateau scheduler + early stopping.
+    """Run the full regimen: Adam, plateau rate decay and early stopping.
 
-    The scheduler and early stop monitor TRAINING loss; the returned model
-    carries the weights from the best validation-accuracy epoch and the
-    model's threshold. A checkpoint_dir that holds a checkpoint resumes it,
+    Each epoch's rate and stop decision are plateau() of the TRAINING losses
+    before it; the returned model carries the weights from the best
+    validation-accuracy epoch and the model's threshold. A checkpoint_dir that holds a checkpoint resumes it,
     so rerunning a finished run trains nothing; a checkpoint of another run
     is refused.
     """
@@ -277,14 +255,14 @@ def train(
             best_model = ModelGraph(config=model.config, params=best, threshold=model.threshold)
     n_train = len(data.train)
     # the rest of the state replays from the history, alike for fresh and resumed runs
-    sched = SchedulerState(current_lr=cfg.initial_lr)
-    for r in history:
-        sched = scheduler_update(sched, r.train_loss)
-    adam = AdamState(alpha=sched.current_lr, step=len(history) * math.ceil(n_train / cfg.batch_size),
+    adam = AdamState(step=len(history) * math.ceil(n_train / cfg.batch_size),
                      first_moment=m1, second_moment=m2)
     if history_path:
         _write_history(history_path, history)
-    while len(history) < cfg.epochs and early_stop_check([r.train_loss for r in history]) == "continue":
+    while len(history) < cfg.epochs:
+        adam.alpha, stop = plateau(cfg.initial_lr, [r.train_loss for r in history])
+        if stop:
+            break
         epoch = len(history)  # history holds epochs 0..epoch-1
         t0 = time.perf_counter()
         epoch_seed = int(np.random.SeedSequence([cfg.seed, epoch]).generate_state(1)[0])
@@ -316,7 +294,7 @@ def train(
             train_accuracy=train_acc,
             val_loss=val_loss,
             val_accuracy=val_acc,
-            lr=sched.current_lr,
+            lr=adam.alpha,
             wall_time=time.perf_counter() - t0,
         ))
         if history_path:
@@ -325,50 +303,34 @@ def train(
             log(
                 f"epoch {epoch}: train_loss={train_loss:.4f} "
                 f"train_acc={train_acc:.4f} val_loss={val_loss:.4f} "
-                f"val_acc={val_acc:.4f} lr={sched.current_lr:g}"
+                f"val_acc={val_acc:.4f} lr={adam.alpha:g}"
             )
         if _best_epoch(history) == epoch:
             best_model = model.copy()
-        sched = scheduler_update(sched, train_loss)
-        adam.alpha = sched.current_lr
         if state_path:
             _save_checkpoint(state_path, model, best_model, adam, history, run)
     return best_model, history
 
 
-def evaluate(
-    model: ModelGraph,
-    ds: LabeledDataset,
-    threshold: float = 0.5,
-    vocab: Optional[Vocab] = None,
-    measure_latency: bool = False,
-) -> MetricsReport:
-    """Confusion-matrix metrics at the given threshold.
+def evaluate(model: ModelGraph, ds: LabeledDataset) -> MetricsReport:
+    """Confusion-matrix metrics at the model's threshold.
 
     Zero-denominator convention: precision and recall are 1 when their
-    denominators are empty. Latency, when requested, is measured over
-    single-URL infer calls.
+    denominators are empty.
     """
     if len(ds) == 0:
         raise DataError("cannot evaluate on an empty dataset")
-    vocab = vocab or default_vocab()
-    (tp, fp, tn, fn), _ = _score(model, ds, vocab, threshold)
+    (tp, fp, tn, fn), _ = _score(model, ds, default_vocab(), model.threshold)
     n = len(ds)
     precision = tp / (tp + fp) if (tp + fp) > 0 else 1.0
     recall = tp / (tp + fn) if (tp + fn) > 0 else 1.0
     f_score = 2 * precision * recall / (precision + recall) if (precision + recall) > 0 else 0.0
-    mean_latency = None
-    if measure_latency:
-        urls = [url for url, _ in ds.records[:LATENCY_SAMPLE]]
-        stats = bench_inference(model, urls, repetitions=len(urls), vocab=vocab)
-        mean_latency = stats["mean"]
     return MetricsReport(
         accuracy=(tp + tn) / n,
         precision=precision,
         recall=recall,
         f_score=f_score,
         confusion=(tp, fp, tn, fn),
-        mean_inference_seconds=mean_latency,
     )
 
 
@@ -426,16 +388,11 @@ def make_synthetic_corpus(n: int, phish_fraction: float, seed: int) -> LabeledDa
     return LabeledDataset(records=[records[i] for i in order])
 
 
-def bench_inference(
-    model: ModelGraph,
-    urls: Sequence[str],
-    repetitions: int,
-    vocab: Optional[Vocab] = None,
-) -> Dict[str, float]:
+def bench_inference(model: ModelGraph, urls: Sequence[str], repetitions: int) -> Dict[str, float]:
     """Wall-clock stats for single-URL predict calls; warm-ups excluded."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    vocab = vocab or default_vocab()
+    vocab = default_vocab()
     for k in range(BENCH_WARMUP):
         predict(model, urls[k % len(urls)], vocab)
     samples = np.zeros(repetitions)

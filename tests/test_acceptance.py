@@ -39,12 +39,10 @@ from phishdefense.model import (
 )
 from phishdefense.store import load_model, save_model
 from phishdefense.train import (
-    SchedulerState,
     TrainConfig,
     evaluate,
-    early_stop_check,
     make_synthetic_corpus,
-    scheduler_update,
+    plateau,
     train,
 )
 
@@ -163,20 +161,17 @@ def test_criterion_3_loss_closed_forms():
 
 
 def test_criterion_4_scheduler_and_early_stop():
-    s = SchedulerState(current_lr=1e-3)
-    s = scheduler_update(s, 1.0)  # sets best
+    def lr(n):  # the rate after n equal losses; the first one sets the best
+        return plateau(1e-3, [1.0] * n)[0]
+
     for k in range(4):
-        s = scheduler_update(s, 1.0)
-        assert s.current_lr == 1e-3, k
-    s = scheduler_update(s, 1.0)  # 5th stagnant epoch
-    assert s.current_lr == pytest.approx(1e-4)
-    for _ in range(20):
-        s = scheduler_update(s, 1.0)
-    assert s.current_lr == pytest.approx(1e-5)  # floored
+        assert lr(2 + k) == 1e-3, k
+    assert lr(6) == pytest.approx(1e-4)  # 5th stagnant epoch
+    assert lr(26) == pytest.approx(1e-5)  # floored
 
     losses = [1.0, 0.5] + [0.5] * 5
-    assert early_stop_check(losses) == "continue"
-    assert early_stop_check(losses + [0.5]) == "stop"
+    assert plateau(1e-3, losses)[1] is False
+    assert plateau(1e-3, losses + [0.5])[1] is True
     report(4, True)
 
 

@@ -18,7 +18,6 @@ from phishdefense.cli import main, make_handler
 from phishdefense.codec import default_vocab
 from phishdefense.model import predict
 from phishdefense.store import load_model, save_model
-from http.server import ThreadingHTTPServer
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -185,6 +184,17 @@ class TestPredictCommand:
         assert recs[0]["verdict"] == "phishing"
         assert recs[1]["verdict"] == "legitimate"
 
+    def test_crlf_stdin_line_scores_as_its_url(self, fixture_model_path, monkeypatch):
+        url = "http://a.example/login"
+        _, want = run_cli(["predict", "--model", fixture_model_path, "--url", url])
+        code, got = run_cli(
+            ["predict", "--model", fixture_model_path, "--stdin"],
+            stdin_text=url + "\r\n",
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        assert got == want
+
     def test_corrupt_model_exits_1(self, tmp_path, fixture_model_path):
         blob = bytearray(open(fixture_model_path, "rb").read())
         blob[-10] ^= 0xFF
@@ -267,7 +277,7 @@ class TestSynthCommand:
 
 @contextmanager
 def serving(model):
-    server = ThreadingHTTPServer(("127.0.0.1", 0), make_handler(model))
+    server = cli._Server(("127.0.0.1", 0), make_handler(model))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -396,6 +406,31 @@ class TestServe:
             t.join()
         assert results == serial
 
+    def test_a_burst_of_connections_waits_in_the_backlog(self, fixture_model_path):
+        server = cli._Server(("127.0.0.1", 0), make_handler(load_model(fixture_model_path)))
+        clients = []
+        try:
+            # connect before the server accepts: each connection waits in the
+            # listen backlog, and a connect that finds it full times out
+            for _ in range(30):
+                clients.append(socket.create_connection(server.server_address, timeout=0.5))
+        finally:
+            threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            body = b'{"url": "a"}'
+            for sock in clients:
+                sock.settimeout(5)
+                sock.sendall(b"POST /check HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
+                             % (len(body), body))
+            for sock in clients:
+                with sock.makefile("rb") as reply:
+                    assert reply.readline().split()[1:2] == [b"200"]
+        finally:
+            for sock in clients:
+                sock.close()
+            server.shutdown()
+            server.server_close()
+
 
 SMALL_TRAIN = ["--hidden", "4", "--embed", "3", "--max-len", "20"]
 
@@ -430,7 +465,7 @@ class TestUsageErrors:
         def no_server(*args, **kwargs):
             raise AssertionError("a server was started")
 
-        monkeypatch.setattr(cli, "ThreadingHTTPServer", no_server)
+        monkeypatch.setattr(cli, "_Server", no_server)
         out = tmp_path / "out"
         where = ["--model", fixture_model_path] if argv[0] in ("bench", "serve") else ["--out", str(out)]
         with pytest.raises(SystemExit) as exc:
