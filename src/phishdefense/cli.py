@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -18,7 +19,7 @@ from .codec import default_vocab
 from .data import load_csv, split
 from .errors import DataError, PhishDefenseError
 from .model import ModelGraph, default_config, build_model, predict
-from .store import load_model, save_model
+from .store import atomic_write, load_model, save_model
 from .train import (
     MIN_CORPUS,
     MIN_LR,
@@ -232,10 +233,12 @@ def cmd_bench(args) -> int:
 
 def cmd_synth(args) -> int:
     ds = make_synthetic_corpus(args.n, args.fraction, args.seed)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["url", "label"])
-        writer.writerows(ds.records)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["url", "label"])
+    writer.writerows(ds.records)
+    with atomic_write(args.out) as fh:
+        fh.write(text.getvalue().encode("utf-8"))
     print(json.dumps({"written": len(ds), "path": args.out}))
     return 0
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -29,14 +29,14 @@ class SplitPair:
 
 
 def load_csv(path: str, dedup: bool = False) -> LabeledDataset:
-    """Load a `url,label` CSV (RFC-4180 quoting, UTF-8).
+    """Load a `url,label` CSV (RFC-4180 quoting, UTF-8 with or without a BOM).
 
     Labels may be 0/1 or legitimate/phishing (case-insensitive). Duplicate
-    URLs are kept unless dedup is set.
+    URLs are kept unless dedup is set, which keeps the first record of each.
     """
     records: List[Tuple[str, int]] = []
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as e:
         raise DataError(f"cannot read dataset {path}: {e}") from e
     with fh:
@@ -45,36 +45,36 @@ def load_csv(path: str, dedup: bool = False) -> LabeledDataset:
             header = next(reader, None)
             if header is None or [c.strip().lower() for c in header[:2]] != ["url", "label"]:
                 raise DataError(f"{path}: expected header 'url,label', got {header}")
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
                 if len(row) != 2:
-                    raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
+                    raise DataError(f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
                 url, raw_label = row[0], row[1].strip().lower()
                 if raw_label not in _LABEL_TOKENS:
-                    raise DataError(f"{path}:{lineno}: unknown label {row[1]!r}")
+                    raise DataError(f"{path}:{reader.line_num}: unknown label {row[1]!r}")
                 if not url:
-                    raise DataError(f"{path}:{lineno}: empty url")
+                    raise DataError(f"{path}:{reader.line_num}: empty url")
                 records.append((url, _LABEL_TOKENS[raw_label]))
         except UnicodeDecodeError as e:
             raise DataError(f"{path}: not UTF-8 text: {e}") from e
     if dedup:
-        seen = set()
-        unique = []
+        first: Dict[str, int] = {}
         for url, lab in records:
-            if url not in seen:
-                seen.add(url)
-                unique.append((url, lab))
-        records = unique
+            first.setdefault(url, lab)
+        records = list(first.items())
     return LabeledDataset(records=records)
 
 
 def split(
     ds: LabeledDataset, ratio: float, seed: int, stratify: bool = False
 ) -> SplitPair:
-    """Seeded shuffle then prefix split; |train| = round(ratio * N).
+    """Split by one seeded permutation; |train| = round(ratio * N) exactly.
 
-    With stratify, class proportions are preserved within one record.
+    Plain: the first round(ratio * N) records of the permutation train.
+    Stratified: the permutation is stably sorted by label and position i
+    trains when round((i + 1) * ratio) > round(i * ratio), so each label's
+    train count is within one record of ratio times its size.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must be in (0,1), got {ratio}")
@@ -82,33 +82,16 @@ def split(
     n_train = int(round(ratio * n))
     if not 0 < n_train < n:
         raise DataError(f"cannot split {n} records at ratio {ratio}: a side would be empty")
-    rng = np.random.default_rng(seed)
+    perm = np.random.default_rng(seed).permutation(n)
+    pos = np.arange(n)
     if stratify:
-        by_class: dict[int, list[int]] = {0: [], 1: []}
-        for i, (_, lab) in enumerate(ds.records):
-            by_class[lab].append(i)
-        train_idx: list[int] = []
-        test_idx: list[int] = []
-        for lab in (0, 1):
-            idx = np.array(by_class[lab], dtype=np.int64)
-            rng.shuffle(idx)
-            k = int(round(ratio * len(idx)))
-            train_idx.extend(idx[:k].tolist())
-            test_idx.extend(idx[k:].tolist())
-        # keep the overall train size at round(ratio * N)
-        while len(train_idx) > n_train:
-            test_idx.append(train_idx.pop())
-        while len(train_idx) < n_train and test_idx:
-            train_idx.append(test_idx.pop())
-        order_train = np.array(train_idx, dtype=np.int64)
-        order_test = np.array(test_idx, dtype=np.int64)
-        rng.shuffle(order_train)
-        rng.shuffle(order_test)
+        labels = np.array([lab for _, lab in ds.records])
+        perm = perm[np.argsort(labels[perm], kind="stable")]
+        to_train = np.round((pos + 1) * ratio) > np.round(pos * ratio)
     else:
-        perm = rng.permutation(n)
-        order_train, order_test = perm[:n_train], perm[n_train:]
+        to_train = pos < n_train
     mk = lambda idx: LabeledDataset(records=[ds.records[i] for i in idx])
-    return SplitPair(train=mk(order_train), test=mk(order_test))
+    return SplitPair(train=mk(perm[to_train]), test=mk(perm[~to_train]))
 
 
 def batches(
@@ -124,17 +107,12 @@ def batches(
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    rng = np.random.default_rng(epoch_seed)
-    perm = rng.permutation(len(ds))
+    perm = np.random.default_rng(epoch_seed).permutation(len(ds))
     for start in range(0, len(ds), batch_size):
-        chunk = perm[start : start + batch_size]
-        ids = np.zeros((len(chunk), max_len), dtype=np.int64)
-        lens = np.zeros(len(chunk), dtype=np.int64)
-        labels = np.zeros(len(chunk), dtype=np.int64)
-        for row, i in enumerate(chunk):
-            url, lab = ds.records[i]
-            enc = encode_url(url, vocab, max_len)
-            ids[row] = enc.ids
-            lens[row] = enc.true_len
-            labels[row] = lab
-        yield ids, lens, labels
+        chunk = [ds.records[i] for i in perm[start : start + batch_size]]
+        encoded = [encode_url(url, vocab, max_len) for url, _ in chunk]
+        yield (
+            np.stack([enc.ids for enc in encoded]),
+            np.array([enc.true_len for enc in encoded], dtype=np.int64),
+            np.array([lab for _, lab in chunk], dtype=np.int64),
+        )

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import re
@@ -16,6 +17,7 @@ from conftest import confusion_fixture, labels
 from phishdefense import cli
 from phishdefense.cli import main, make_handler
 from phishdefense.codec import default_vocab
+from phishdefense.data import LabeledDataset
 from phishdefense.model import predict
 from phishdefense.store import load_model, save_model
 
@@ -273,6 +275,41 @@ class TestSynthCommand:
         ds = load_csv(str(out))
         assert len(ds) == 50
         assert int(labels(ds).sum()) == 25
+
+    def test_output_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "corpus.csv"
+        assert run_cli(["synth", "--n", "50", "--seed", "2", "--out", str(out)])[0] == 0
+        data = out.read_bytes()
+        assert data.startswith(b"url,label\r\n")
+        assert hashlib.sha256(data).hexdigest() == (
+            "969303b871e5dbb0fb022bcb4f795bae855ae3c58c30e66f29a87884a78cf5ef"
+        )
+
+    def test_failed_write_midway_keeps_the_old_file_and_no_temp_file(self, tmp_path, monkeypatch):
+        def rows_then_fail():
+            yield ("http://a.example", 0)
+            yield ("http://b.example", 1)
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(cli, "make_synthetic_corpus",
+                            lambda *_: LabeledDataset(records=rows_then_fail()))
+        out = tmp_path / "corpus.csv"
+        out.write_bytes(b"old")
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_cli(["synth", "--n", "50", "--out", str(out)])
+        assert out.read_bytes() == b"old"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_failed_rename_keeps_the_old_file_and_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(*_):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr("phishdefense.store.os.replace", refuse)
+        out = tmp_path / "corpus.csv"
+        out.write_bytes(b"old")
+        assert run_cli(["synth", "--n", "50", "--out", str(out)]) == (1, "")
+        assert out.read_bytes() == b"old"
+        assert list(tmp_path.iterdir()) == [out]
 
 
 @contextmanager

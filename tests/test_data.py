@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from conftest import labels
 from phishdefense.codec import default_vocab
@@ -65,6 +66,24 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=re.escape(f"{path}: not UTF-8 text")):
             load_csv(str(path))
 
+    def test_utf8_bom_loads_like_plain_utf8(self, tmp_path):
+        body = "url,label\r\nhttp://a.com/caf\u00e9,1\r\nhttp://b.com,legitimate\r\n".encode()
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(body)
+        bom.write_bytes(b"\xef\xbb\xbf" + body)
+        assert load_csv(str(bom)).records == load_csv(str(plain)).records
+
+    def test_error_names_the_line_after_a_multiline_field(self, tmp_path):
+        path = tmp_path / "ml.csv"
+        path.write_text('url,label\n"http://a.example/\nlogin",1\nhttp://b.example,bogus\n',
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}:4: unknown label 'bogus'")):
+            load_csv(str(path))
+
+    def test_dedup_keeps_the_first_record_of_each_url(self, tmp_path):
+        path = write_csv(tmp_path, ["a,1", "b,0", "a,0"])
+        assert load_csv(path, dedup=True).records == [("a", 1), ("b", 0)]
+
 
 def toy_dataset(n, phish_every=2):
     return LabeledDataset(
@@ -115,6 +134,34 @@ class TestSplit:
     def test_bad_ratio(self):
         with pytest.raises(ValueError):
             split(toy_dataset(10), 1.0, seed=0)
+
+    def test_plain_split_is_one_seeded_permutation(self):
+        ds = toy_dataset(137)
+        pair = split(ds, 0.6, seed=5)
+        perm = np.random.default_rng(5).permutation(137)
+        n_train = round(0.6 * 137)
+        assert pair.train.records == [ds.records[i] for i in perm[:n_train]]
+        assert pair.test.records == [ds.records[i] for i in perm[n_train:]]
+
+    @given(
+        labs=st.lists(st.integers(0, 1), min_size=2, max_size=300),
+        ratio=st.floats(0.01, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+        stratify=st.booleans(),
+    )
+    def test_split_properties(self, labs, ratio, seed, stratify):
+        n_train = round(ratio * len(labs))
+        assume(0 < n_train < len(labs))
+        ds = LabeledDataset(records=[(f"u{i}", lab) for i, lab in enumerate(labs)])
+        pair = split(ds, ratio, seed, stratify=stratify)
+        assert len(pair.train) == n_train
+        assert sorted(pair.train.records + pair.test.records) == sorted(ds.records)
+        again = split(ds, ratio, seed, stratify=stratify)
+        assert (again.train.records, again.test.records) == (pair.train.records, pair.test.records)
+        if stratify:
+            for lab in (0, 1):
+                got = sum(1 for _, y in pair.train.records if y == lab)
+                assert abs(got - ratio * labs.count(lab)) <= 1
 
 
 class TestBatches:
