@@ -16,9 +16,10 @@ import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .codec import default_vocab
-from .data import load_csv, split
+from .data import CSV_COLUMNS, load_csv, split
 from .errors import DataError, PhishDefenseError
-from .model import ModelGraph, default_config, build_model, predict
+from .layers import CELLS
+from .model import ModelConfig, ModelGraph, default_config, build_model, predict
 from .store import atomic_write, load_model, save_model
 from .train import (
     MIN_CORPUS,
@@ -76,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="phishdefense")
     # argparse converts a string default only when its flag is absent, so a
     # bad PD_SEED is a usage error unless --seed is given
-    seed = {"type": int, "default": os.environ.get("PD_SEED", "0")}
+    seed = {"type": int, "default": os.environ.get("PD_SEED", str(TrainConfig.seed))}
     probability = _in_range(float, 0.0, 1.0)
     positive = _in_range(int, 1)
     sub = ap.add_subparsers(dest="subcommand", required=True)
@@ -92,19 +93,19 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--data", help="url,label CSV path")
     source.add_argument("--synthetic", type=_in_range(int, MIN_CORPUS),
                         help="generate a synthetic corpus of N URLs")
-    p.add_argument("--epochs", type=_in_range(int, 0), default=40)
-    p.add_argument("--batch", type=positive, default=500)
-    p.add_argument("--lr", type=_in_range(float, MIN_LR), default=1e-3)
-    p.add_argument("--threshold", type=probability, default=0.5)
+    p.add_argument("--epochs", type=_in_range(int, 0), default=TrainConfig.epochs)
+    p.add_argument("--batch", type=positive, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=_in_range(float, MIN_LR), default=TrainConfig.initial_lr)
+    p.add_argument("--threshold", type=probability, default=ModelGraph.threshold)
     p.add_argument("--out", required=True, help="output model path (.pdm)")
     p.add_argument("--history", help="history JSONL path (default: <out>.history.jsonl)")
     p.add_argument("--workdir", help="checkpoint directory; a rerun resumes the run it holds")
     p.add_argument("--dedup", action="store_true")
     p.add_argument("--stratify", action="store_true")
-    p.add_argument("--cell", choices=["lstm", "gru"], default="gru")
-    p.add_argument("--max-len", type=positive, default=200)
-    p.add_argument("--embed", type=positive, default=32)
-    p.add_argument("--hidden", type=positive, default=128)
+    p.add_argument("--cell", choices=sorted(CELLS), default=ModelConfig.cell_kind)
+    p.add_argument("--max-len", type=positive, default=ModelConfig.max_len)
+    p.add_argument("--embed", type=positive, default=ModelConfig.embed_dim)
+    p.add_argument("--hidden", type=positive, default=ModelConfig.hidden_dim)
     p.add_argument("--seed", **seed)
 
     p = sub.add_parser("eval", parents=[scored], help="evaluate a model on a labeled CSV")
@@ -196,12 +197,23 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _stdin_lines():
+    """Each line of stdin without its line end, decoded as strict UTF-8
+    whatever the locale."""
+    if hasattr(sys.stdin, "reconfigure"):  # a text stream without it is decoded already
+        sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+    try:
+        for line in sys.stdin:
+            yield line.rstrip("\r\n")
+    except UnicodeDecodeError as e:
+        raise DataError(f"<stdin>: not UTF-8 text: {e}") from e
+
+
 def cmd_predict(args) -> int:
     model = _scored_model(args)
     vocab = default_vocab()
-    urls = (line.rstrip("\r\n") for line in sys.stdin) if args.stdin else [args.url]
-    for url in urls:
-        verdict, score = predict(model, url, vocab, model.threshold)
+    for url in _stdin_lines() if args.stdin else [args.url]:
+        verdict, score = predict(model, url, vocab)
         print(json.dumps({"url": url, "score": score, "verdict": verdict}))
     return 0
 
@@ -235,7 +247,7 @@ def cmd_synth(args) -> int:
     ds = make_synthetic_corpus(args.n, args.fraction, args.seed)
     text = io.StringIO()
     writer = csv.writer(text)
-    writer.writerow(["url", "label"])
+    writer.writerow(CSV_COLUMNS)
     writer.writerows(ds.records)
     with atomic_write(args.out) as fh:
         fh.write(text.getvalue().encode("utf-8"))
@@ -291,7 +303,7 @@ def make_handler(model: ModelGraph):
                 self._reply(400, {"error": f"bad request: {e}"})
                 return
             try:
-                verdict, score = predict(model, url, vocab, model.threshold)
+                verdict, score = predict(model, url, vocab)
             except Exception:  # the server keeps running; the client gets a JSON reply
                 _log(traceback.format_exc())
                 self._reply(500, {"error": "internal error"})

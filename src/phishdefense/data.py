@@ -11,6 +11,7 @@ import numpy as np
 from .codec import Vocab, encode_url
 from .errors import DataError
 
+CSV_COLUMNS = ("url", "label")  # a corpus CSV's header, exactly
 _LABEL_TOKENS = {"0": 0, "1": 1, "legitimate": 0, "phishing": 1}
 
 
@@ -43,13 +44,13 @@ def load_csv(path: str, dedup: bool = False) -> LabeledDataset:
         try:  # the file decodes as it is read: any row can fail
             reader = csv.reader(fh)
             header = next(reader, None)
-            if header is None or [c.strip().lower() for c in header[:2]] != ["url", "label"]:
-                raise DataError(f"{path}: expected header 'url,label', got {header}")
+            if header is None or tuple(c.strip().lower() for c in header) != CSV_COLUMNS:
+                raise DataError(f"{path}: expected header '{','.join(CSV_COLUMNS)}', got {header}")
             for row in reader:
                 if not row:
                     continue
-                if len(row) != 2:
-                    raise DataError(f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
+                if len(row) != len(header):
+                    raise DataError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
                 url, raw_label = row[0], row[1].strip().lower()
                 if raw_label not in _LABEL_TOKENS:
                     raise DataError(f"{path}:{reader.line_num}: unknown label {row[1]!r}")

@@ -7,7 +7,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .codec import Vocab, encode_url
+from .codec import Vocab, default_vocab, encode_url
 from .errors import ConfigError, ShapeError
 from .layers import (
     CELLS,
@@ -26,17 +26,16 @@ from .tensor import ParamSet, sigmoid, xavier_init
 
 EPS_CLAMP = 1e-12
 
-# The head's final dense width fixes its output kind and the weights that
-# turn its output z into the phishing logit z @ w. A width-2 head is a
+# The head's final dense width fixes (its output kind, the weights w that
+# turn its output z into the phishing logit z @ w). A width-2 head is a
 # softmax pair, whose phishing coordinate softmax(z)[1] is sigmoid(z1 - z0).
-_OUTPUT_KINDS = {1: "sigmoid_scalar", 2: "softmax_pair"}
-_LOGIT_WEIGHTS = {1: np.array([1.0]), 2: np.array([-1.0, 1.0])}
+_HEADS = {1: ("sigmoid_scalar", np.array([1.0])), 2: ("softmax_pair", np.array([-1.0, 1.0]))}
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    cell_kind: str = "gru"  # "lstm" | "gru"
-    vocab_size: int = 97
+    cell_kind: str = "gru"  # a key of layers.CELLS
+    vocab_size: int = default_vocab().size
     embed_dim: int = 32
     hidden_dim: int = 128
     dense_dims: Tuple[int, ...] = ()
@@ -47,10 +46,10 @@ class ModelConfig:
     @property
     def output_kind(self) -> str:
         """"sigmoid_scalar" for a final dense width of 1, "softmax_pair" for 2."""
-        return _OUTPUT_KINDS[self.dense_dims[-1]]
+        return _HEADS[self.dense_dims[-1]][0]
 
     def validate(self) -> None:
-        if self.cell_kind not in ("lstm", "gru"):
+        if self.cell_kind not in CELLS:
             raise ConfigError(f"unknown cell kind {self.cell_kind!r}")
         if min(self.vocab_size, self.embed_dim, self.hidden_dim, self.max_len) < 1:
             raise ConfigError("all dims must be >= 1")
@@ -58,7 +57,7 @@ class ModelConfig:
             raise ConfigError(f"bad dense widths {self.dense_dims}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout rate {self.dropout_rate} outside [0,1)")
-        if self.dense_dims[-1] not in _OUTPUT_KINDS:
+        if self.dense_dims[-1] not in _HEADS:
             raise ConfigError(
                 f"final dense width must be 1 (sigmoid scalar) or 2 (softmax pair), "
                 f"got {self.dense_dims[-1]}"
@@ -172,7 +171,7 @@ def _head(
     x, drop_mask = dropout(x, cfg.dropout_rate, rng)
     z, dcache = dense_forward(m.params[f"dense{last}.w"], m.params[f"dense{last}.b"], x)
     dense.append(dcache)
-    return sigmoid(z @ _LOGIT_WEIGHTS[cfg.dense_dims[-1]]), dense, drop_mask
+    return sigmoid(z @ _HEADS[cfg.dense_dims[-1]][1]), dense, drop_mask
 
 
 def bce_loss(y: np.ndarray, p: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -206,7 +205,7 @@ def backward_batch(
     loss, dp = bce_loss(labels, probs)
     last = len(cfg.dense_dims) - 1
     # d(loss)/d(logit), spread over the last dense layer's outputs z
-    dz = (dp * probs * (1.0 - probs))[:, None] * _LOGIT_WEIGHTS[cfg.dense_dims[-1]]
+    dz = (dp * probs * (1.0 - probs))[:, None] * _HEADS[cfg.dense_dims[-1]][1]
     grads: ParamSet = {}
     dw, db, dx = dense_backward(m.params[f"dense{last}.w"], caches["dense"][last], dz)
     grads[f"dense{last}.w"], grads[f"dense{last}.b"] = dw, db
@@ -227,11 +226,14 @@ def backward_batch(
 
 
 def predict(
-    m: ModelGraph, url: str, vocab: Vocab, threshold: float = 0.5
+    m: ModelGraph, url: str, vocab: Vocab, threshold: Optional[float] = None
 ) -> Tuple[str, float]:
-    """Infer-mode score for one URL; ties at the threshold go to legitimate."""
+    """Infer-mode score for one URL at threshold (default: the model's own);
+    ties at the threshold go to legitimate."""
     enc = encode_url(url, vocab, m.config.max_len)
     probs, _ = forward_batch(m, enc.ids[None, :], np.array([enc.true_len]))
     score = float(probs[0])
+    if threshold is None:
+        threshold = m.threshold
     verdict = "phishing" if score > threshold else "legitimate"
     return verdict, score

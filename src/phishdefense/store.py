@@ -45,6 +45,8 @@ MAGIC = b"PDM1"
 VERSION = 1
 _CELL_CODES = {"lstm": 0, "gru": 1}
 _CELL_NAMES = {v: k for k, v in _CELL_CODES.items()}
+# the header's fixed fields, cell_kind through n_dense; the dense dims follow
+_FIXED_HEADER = struct.Struct("<BIIIIffI")
 
 
 def _tensor_shapes(cfg: ModelConfig) -> List[Tuple[str, Tuple[int, ...]]]:
@@ -65,8 +67,7 @@ def tensor_order(cfg: ModelConfig) -> List[str]:
 
 
 def _pack_header(cfg: ModelConfig, threshold: float) -> bytes:
-    head = struct.pack(
-        "<BIIIIffI",
+    head = _FIXED_HEADER.pack(
         _CELL_CODES[cfg.cell_kind],
         cfg.vocab_size,
         cfg.embed_dim,
@@ -133,12 +134,10 @@ def load_model(path: str) -> ModelGraph:
     body = blob[12:-4]
     (crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
     header = blob[12 : 12 + header_len]
-    fixed = struct.calcsize("<BIIIIffI")
+    fixed = _FIXED_HEADER.size
     if header_len < fixed:
         raise ModelFormatError(f"{path}: header too short ({header_len} bytes)")
-    cell_code, vocab, embed, hidden, max_len, drop, threshold, n_dense = struct.unpack_from(
-        "<BIIIIffI", header, 0
-    )
+    cell_code, vocab, embed, hidden, max_len, drop, threshold, n_dense = _FIXED_HEADER.unpack_from(header)
     if cell_code not in _CELL_NAMES:
         raise ModelFormatError(f"{path}: unknown cell code {cell_code}")
     if not 0.0 <= threshold <= 1.0:  # NaN fails too

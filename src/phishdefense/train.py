@@ -32,6 +32,7 @@ SPLIT_RATIO = 0.75
 MIN_CORPUS = 10  # smallest synthetic corpus
 EVAL_BATCH = 1000
 BENCH_WARMUP = 3  # untimed predict calls before bench_inference measures
+_GROUPS = ("cur", "best", "m1", "m2")  # a checkpoint's current and best weights, Adam's moments
 
 
 @dataclass
@@ -140,10 +141,8 @@ def _save_checkpoint(path: str, m: ModelGraph, best: ModelGraph, adam: AdamState
     """The run's identity, its history and the four tensor groups: Adam's
     rate and step and the stop decision replay from the history."""
     epoch = history[-1].epoch
-    tensors = {f"cur.{k}": v for k, v in m.params.items()}
-    tensors.update({f"best.{k}": v for k, v in best.params.items()})
-    tensors.update({f"m1.{k}": v for k, v in adam.first_moment.items()})
-    tensors.update({f"m2.{k}": v for k, v in adam.second_moment.items()})
+    groups = (m.params, best.params, adam.first_moment, adam.second_moment)
+    tensors = {f"{part}.{k}": v for part, g in zip(_GROUPS, groups) for k, v in g.items()}
     meta = json.dumps({**run, "history": [asdict(r) for r in history]})
     with atomic_write(path) as fh:
         np.savez(fh, __meta__=np.frombuffer(meta.encode(), dtype=np.uint8), **tensors)
@@ -194,7 +193,7 @@ def _load_checkpoint(path: str, m: ModelGraph, run: Dict[str, Dict]):
     # each group must hold exactly the model's parameters, with their shapes
     shapes = {k: v.shape for k, v in m.params.items()}
     groups = {}
-    for part in ("cur", "best", "m1", "m2"):
+    for part in _GROUPS:
         groups[part] = {k[len(part) + 1:]: v for k, v in tensors.items() if k.startswith(part + ".")}
         got = {k: v.shape for k, v in groups[part].items()}
         bad = [f"{part}.{k}" for k in sorted(shapes.keys() | got.keys()) if shapes.get(k) != got.get(k)]

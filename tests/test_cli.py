@@ -18,8 +18,10 @@ from phishdefense import cli
 from phishdefense.cli import main, make_handler
 from phishdefense.codec import default_vocab
 from phishdefense.data import LabeledDataset
-from phishdefense.model import predict
+from phishdefense.layers import CELLS
+from phishdefense.model import ModelConfig, ModelGraph, predict
 from phishdefense.store import load_model, save_model
+from phishdefense.train import TrainConfig
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -535,20 +537,27 @@ class TestUsageErrors:
         code, stdout = run_cli(["synth", "--n", "20", "--seed", "3", "--out", str(out)])
         assert code == 0 and json.loads(stdout)["written"] == 20
 
-    @pytest.mark.parametrize("command", ["train", "eval", "bench"])
-    def test_non_utf8_input_exits_1_naming_the_file(self, command, fixture_model_path, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["train", "eval", "bench", "predict"])
+    def test_non_utf8_input_exits_1_naming_the_file(
+        self, command, fixture_model_path, tmp_path, capsys, monkeypatch
+    ):
         bad = tmp_path / "latin1.csv"
         bad.write_bytes(b"url,label\nhttp://a.com/\xff,1\n")
         argv = {
             "train": ["train", "--data", str(bad), "--out", str(tmp_path / "m.pdm"), *SMALL_TRAIN],
             "eval": ["eval", "--model", fixture_model_path, "--data", str(bad)],
             "bench": ["bench", "--model", fixture_model_path, "--urls", str(bad)],
+            "predict": ["predict", "--model", fixture_model_path, "--stdin"],
         }[command]
+        # the stdin of a POSIX locale: undecodable bytes become surrogates
+        stdin = io.TextIOWrapper(io.BytesIO(bad.read_bytes()), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr("sys.stdin", stdin)
+        named = "<stdin>" if command == "predict" else bad
         code, stdout = run_cli(argv)
         err = capsys.readouterr().err
         assert code == 1 and stdout == ""
         assert len(err.splitlines()) == 1
-        assert err.startswith("error:") and f"{bad}: not UTF-8 text" in err
+        assert err.startswith("error:") and f"{named}: not UTF-8 text" in err
 
 
 def test_readme_cli_matches_the_parser():
@@ -566,3 +575,17 @@ def test_readme_cli_matches_the_parser():
     declared = {flag for p in sub.choices.values() for a in p._actions for flag in a.option_strings}
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
     assert named and not named - declared, named - declared
+
+
+def test_train_parser_defaults_are_the_dataclasses(monkeypatch):
+    monkeypatch.delenv("PD_SEED", raising=False)
+    parser = cli._build_parser()
+    args = parser.parse_args(["train", "--synthetic", "20", "--out", "m.pdm"])
+    tc, mc = TrainConfig(), ModelConfig()
+    assert (args.epochs, args.batch, args.lr, args.seed) == (tc.epochs, tc.batch_size, tc.initial_lr, tc.seed)
+    assert (args.cell, args.max_len, args.embed, args.hidden) == (
+        mc.cell_kind, mc.max_len, mc.embed_dim, mc.hidden_dim)
+    assert args.threshold == ModelGraph(config=mc, params={}).threshold
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    cell = next(a for a in sub.choices["train"]._actions if a.dest == "cell")
+    assert cell.choices == sorted(CELLS)

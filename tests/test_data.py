@@ -45,6 +45,21 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="header"):
             load_csv(path)
 
+    def test_extra_column_is_refused_at_the_header(self, tmp_path):
+        path = write_csv(tmp_path, ["http://a.com,0,feed"], header="url,label,source")
+        expected = "expected header 'url,label', got ['url', 'label', 'source']"
+        with pytest.raises(DataError, match=re.escape(f"{path}: {expected}")):
+            load_csv(path)
+
+    def test_header_only_file_with_an_extra_column_is_refused(self, tmp_path):
+        path = write_csv(tmp_path, [], header="url,label,source")
+        with pytest.raises(DataError, match="expected header 'url,label'"):
+            load_csv(path)
+
+    def test_header_ignores_whitespace_and_case(self, tmp_path):
+        path = write_csv(tmp_path, ["http://a.com,0"], header=" URL , Label ")
+        assert load_csv(path).records == [("http://a.com", 0)]
+
     def test_quoted_url_with_comma(self, tmp_path):
         path = write_csv(tmp_path, ['"http://a.com/x,y",1'])
         ds = load_csv(path)

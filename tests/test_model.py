@@ -3,6 +3,7 @@ import pytest
 
 from conftest import finite_diff_grad, param_count, softmax
 from phishdefense.codec import default_vocab
+from phishdefense.data import LabeledDataset
 from phishdefense.errors import ConfigError
 from phishdefense.model import (
     ModelConfig,
@@ -15,6 +16,7 @@ from phishdefense.model import (
     predict,
 )
 from phishdefense.store import load_model, save_model
+from phishdefense.train import evaluate
 
 VOCAB = default_vocab()
 
@@ -236,3 +238,18 @@ class TestPredict:
         verdict, score = predict(m, "", VOCAB)
         assert verdict in ("phishing", "legitimate")
         assert 0 < score < 1
+
+    def test_default_threshold_is_the_models(self):
+        m = build_model(tiny_config("gru", vocab_size=97, max_len=20))
+        url = "http://a.b"
+        for threshold, verdict in ((0.0, "phishing"), (1.0, "legitimate")):
+            m.threshold = threshold
+            assert predict(m, url, VOCAB)[0] == verdict
+            assert predict(m, url, VOCAB, 1.0 - threshold)[0] != verdict  # an explicit one wins
+            # evaluate answers at the model's threshold too: the same verdict
+            tp = evaluate(m, LabeledDataset([(url, 1)])).confusion[0]
+            assert tp == (verdict == "phishing")
+
+
+def test_default_vocab_size_is_the_codecs():
+    assert ModelConfig().vocab_size == VOCAB.size
