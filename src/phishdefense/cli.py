@@ -15,9 +15,9 @@ import sys
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .codec import default_vocab
-from .data import CSV_COLUMNS, load_csv, split
-from .errors import DataError, PhishDefenseError
+from .codec import MAX_LEN, Vocab, default_vocab
+from .data import CSV_COLUMNS, load_csv, split, text_lines
+from .errors import ModelFormatError, PhishDefenseError
 from .layers import CELLS
 from .model import ModelConfig, ModelGraph, default_config, build_model, predict
 from .store import atomic_write, load_model, save_model
@@ -103,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dedup", action="store_true")
     p.add_argument("--stratify", action="store_true")
     p.add_argument("--cell", choices=sorted(CELLS), default=ModelConfig.cell_kind)
-    p.add_argument("--max-len", type=positive, default=ModelConfig.max_len)
+    p.add_argument("--max-len", type=_in_range(int, 1, MAX_LEN), default=ModelConfig.max_len)
     p.add_argument("--embed", type=positive, default=ModelConfig.embed_dim)
     p.add_argument("--hidden", type=positive, default=ModelConfig.hidden_dim)
     p.add_argument("--seed", **seed)
@@ -137,12 +137,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _scored_model(args) -> ModelGraph:
-    """The --model file, answering at --threshold when one is given."""
-    model = load_model(args.model)
-    if args.threshold is not None:
-        model.threshold = args.threshold
+def _scored_model(path: str, threshold: float | None = None) -> ModelGraph:
+    """The model at path, answering at threshold when one is given; refused
+    unless its embedding has a row for every id the URL codec gives."""
+    model = load_model(path)
+    have, need = model.config.vocab_size, default_vocab().size
+    if have < need:
+        raise ModelFormatError(f"{path}: vocabulary of {have} ids, the URL codec needs {need}")
+    if threshold is not None:
+        model.threshold = threshold
     return model
+
+
+def _answer(model: ModelGraph, url: str, vocab: Vocab) -> dict:
+    """The JSON record `predict` prints and `serve` replies for one URL."""
+    verdict, score = predict(model, url, vocab)
+    return {"url": url, "score": score, "verdict": verdict}
 
 
 def cmd_train(args) -> int:
@@ -188,7 +198,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = _scored_model(args)
+    model = _scored_model(args.model, args.threshold)
     ds = load_csv(args.data)
     report = evaluate(model, ds)
     urls = [url for url, _ in ds.records[:LATENCY_SAMPLE]]
@@ -197,24 +207,14 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _stdin_lines():
-    """Each line of stdin without its line end, decoded as strict UTF-8
-    whatever the locale."""
-    if hasattr(sys.stdin, "reconfigure"):  # a text stream without it is decoded already
-        sys.stdin.reconfigure(encoding="utf-8", errors="strict")
-    try:
-        for line in sys.stdin:
-            yield line.rstrip("\r\n")
-    except UnicodeDecodeError as e:
-        raise DataError(f"<stdin>: not UTF-8 text: {e}") from e
-
-
 def cmd_predict(args) -> int:
-    model = _scored_model(args)
+    model = _scored_model(args.model, args.threshold)
     vocab = default_vocab()
-    for url in _stdin_lines() if args.stdin else [args.url]:
-        verdict, score = predict(model, url, vocab)
-        print(json.dumps({"url": url, "score": score, "verdict": verdict}))
+    if args.stdin and hasattr(sys.stdin, "reconfigure"):  # a text stream without it is decoded already
+        sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+    urls = (line.rstrip("\r\n") for line in text_lines(sys.stdin, "<stdin>")) if args.stdin else [args.url]
+    for url in urls:
+        print(json.dumps(_answer(model, url, vocab)))
     return 0
 
 
@@ -226,13 +226,10 @@ _SAMPLE_URLS = [
 
 
 def cmd_bench(args) -> int:
-    model = load_model(args.model)
+    model = _scored_model(args.model)
     if args.urls:
-        try:
-            with open(args.urls, encoding="utf-8") as fh:
-                urls = [line.strip() for line in fh if line.strip()]
-        except UnicodeDecodeError as e:
-            raise DataError(f"{args.urls}: not UTF-8 text: {e}") from e
+        with open(args.urls, encoding="utf-8") as fh:
+            urls = [line.strip() for line in text_lines(fh, args.urls) if line.strip()]
         if not urls:
             _log(f"bench: no URLs in {args.urls}")
             return 2
@@ -303,18 +300,18 @@ def make_handler(model: ModelGraph):
                 self._reply(400, {"error": f"bad request: {e}"})
                 return
             try:
-                verdict, score = predict(model, url, vocab)
+                answer = _answer(model, url, vocab)
             except Exception:  # the server keeps running; the client gets a JSON reply
                 _log(traceback.format_exc())
                 self._reply(500, {"error": "internal error"})
                 return
-            self._reply(200, {"url": url, "score": score, "verdict": verdict})
+            self._reply(200, answer)
 
     return Handler
 
 
 def cmd_serve(args) -> int:
-    model = _scored_model(args)
+    model = _scored_model(args.model, args.threshold)
     host, port = args.bind
     try:
         server = _Server((host, port), make_handler(model))

@@ -11,6 +11,9 @@ PAD_ID = 0
 UNK_ID = 1
 _ASCII_LO = 32
 _ASCII_HI = 126
+# the longest id sequence a URL encodes to: RFC 9110 asks for URIs of at least
+# 8000 octets, and a 1000-row batch of such ids is 64 MB
+MAX_LEN = 8192
 
 
 @dataclass(frozen=True)

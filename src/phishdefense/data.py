@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -29,6 +29,16 @@ class SplitPair:
     test: LabeledDataset
 
 
+def text_lines(fh: Iterable[str], name: str) -> Iterator[str]:
+    """The lines of fh, a text stream that decodes strict UTF-8, without a
+    leading byte-order mark; a decode error is a DataError naming name."""
+    try:  # the stream decodes as it is read: any line can fail
+        for k, line in enumerate(fh):
+            yield line.removeprefix("\ufeff") if k == 0 else line
+    except UnicodeDecodeError as e:
+        raise DataError(f"{name}: not UTF-8 text: {e}") from e
+
+
 def load_csv(path: str, dedup: bool = False) -> LabeledDataset:
     """Load a `url,label` CSV (RFC-4180 quoting, UTF-8 with or without a BOM).
 
@@ -37,28 +47,25 @@ def load_csv(path: str, dedup: bool = False) -> LabeledDataset:
     """
     records: List[Tuple[str, int]] = []
     try:
-        fh = open(path, newline="", encoding="utf-8-sig")
+        fh = open(path, newline="", encoding="utf-8")
     except OSError as e:
         raise DataError(f"cannot read dataset {path}: {e}") from e
     with fh:
-        try:  # the file decodes as it is read: any row can fail
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(c.strip().lower() for c in header) != CSV_COLUMNS:
-                raise DataError(f"{path}: expected header '{','.join(CSV_COLUMNS)}', got {header}")
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise DataError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
-                url, raw_label = row[0], row[1].strip().lower()
-                if raw_label not in _LABEL_TOKENS:
-                    raise DataError(f"{path}:{reader.line_num}: unknown label {row[1]!r}")
-                if not url:
-                    raise DataError(f"{path}:{reader.line_num}: empty url")
-                records.append((url, _LABEL_TOKENS[raw_label]))
-        except UnicodeDecodeError as e:
-            raise DataError(f"{path}: not UTF-8 text: {e}") from e
+        reader = csv.reader(text_lines(fh, path))
+        header = next(reader, None)
+        if header is None or tuple(c.strip().lower() for c in header) != CSV_COLUMNS:
+            raise DataError(f"{path}: expected header '{','.join(CSV_COLUMNS)}', got {header}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
+            url, raw_label = row[0], row[1].strip().lower()
+            if raw_label not in _LABEL_TOKENS:
+                raise DataError(f"{path}:{reader.line_num}: unknown label {row[1]!r}")
+            if not url:
+                raise DataError(f"{path}:{reader.line_num}: empty url")
+            records.append((url, _LABEL_TOKENS[raw_label]))
     if dedup:
         first: Dict[str, int] = {}
         for url, lab in records:

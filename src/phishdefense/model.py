@@ -7,7 +7,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .codec import Vocab, default_vocab, encode_url
+from .codec import MAX_LEN, Vocab, default_vocab, encode_url
 from .errors import ConfigError, ShapeError
 from .layers import (
     CELLS,
@@ -53,6 +53,8 @@ class ModelConfig:
             raise ConfigError(f"unknown cell kind {self.cell_kind!r}")
         if min(self.vocab_size, self.embed_dim, self.hidden_dim, self.max_len) < 1:
             raise ConfigError("all dims must be >= 1")
+        if self.max_len > MAX_LEN:
+            raise ConfigError(f"max_len {self.max_len} above the codec's limit of {MAX_LEN}")
         if any(d < 1 for d in self.dense_dims) or not self.dense_dims:
             raise ConfigError(f"bad dense widths {self.dense_dims}")
         if not 0.0 <= self.dropout_rate < 1.0:

@@ -66,6 +66,11 @@ def tensor_order(cfg: ModelConfig) -> List[str]:
     return [name for name, _ in _tensor_shapes(cfg)]
 
 
+def _check_threshold(path: str, threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:  # NaN fails too
+        raise ModelFormatError(f"{path}: threshold {threshold} outside [0, 1]")
+
+
 def _pack_header(cfg: ModelConfig, threshold: float) -> bytes:
     head = _FIXED_HEADER.pack(
         _CELL_CODES[cfg.cell_kind],
@@ -97,6 +102,7 @@ def atomic_write(path: str) -> Iterator[BinaryIO]:
 
 def save_model(m: ModelGraph, path: str) -> int:
     """Write the model atomically; returns bytes written."""
+    _check_threshold(path, m.threshold)
     header = _pack_header(m.config, m.threshold)
     payload = b"".join(
         np.ascontiguousarray(m.params[name], dtype="<f4").tobytes()
@@ -140,8 +146,7 @@ def load_model(path: str) -> ModelGraph:
     cell_code, vocab, embed, hidden, max_len, drop, threshold, n_dense = _FIXED_HEADER.unpack_from(header)
     if cell_code not in _CELL_NAMES:
         raise ModelFormatError(f"{path}: unknown cell code {cell_code}")
-    if not 0.0 <= threshold <= 1.0:  # NaN fails too
-        raise ModelFormatError(f"{path}: threshold {threshold} outside [0, 1]")
+    _check_threshold(path, threshold)
     if header_len != fixed + 4 * n_dense:
         raise ModelFormatError(f"{path}: header length inconsistent with {n_dense} dense dims")
     dense_dims = struct.unpack_from(f"<{n_dense}I", header, fixed)

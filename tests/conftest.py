@@ -1,7 +1,13 @@
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# a red CI run prints the failing example's blob and reruns the same examples
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -177,6 +183,19 @@ def oracle_gru_step(p, x, h_prev):
     ht = [math.tanh(affine("h", k, rh)) for k in range(h)]
     out = [(1.0 - z[k]) * ht[k] + z[k] * h_prev[k] for k in range(h)]
     return np.array(out)
+
+
+def patch_header(blob: bytes, field: int, value) -> bytes:
+    """A PDM1 file's bytes with one fixed header field (an index into
+    cell_kind, vocab_size, embed_dim, hidden_dim, max_len, dropout,
+    threshold, n_dense) set to value, and its CRC recomputed."""
+    from phishdefense.store import _FIXED_HEADER
+
+    body = bytearray(blob[12:-4])
+    fields = list(_FIXED_HEADER.unpack_from(body))
+    fields[field] = value
+    _FIXED_HEADER.pack_into(body, 0, *fields)
+    return blob[:12] + bytes(body) + struct.pack("<I", zlib.crc32(body))
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from phishdefense.cli import main, make_handler
 from phishdefense.codec import default_vocab
 from phishdefense.data import LabeledDataset
 from phishdefense.layers import CELLS
-from phishdefense.model import ModelConfig, ModelGraph, predict
+from phishdefense.model import ModelConfig, ModelGraph, build_model, predict
 from phishdefense.store import load_model, save_model
 from phishdefense.train import TrainConfig
 
@@ -199,6 +199,17 @@ class TestPredictCommand:
         assert code == 0
         assert got == want
 
+    def test_a_leading_byte_order_mark_is_dropped(self, fixture_model_path, monkeypatch):
+        urls = b"http://a.b\nf\n"
+        outs = []
+        for data in (urls, b"\xef\xbb\xbf" + urls):
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            code, out = run_cli(["predict", "--model", fixture_model_path, "--stdin"])
+            assert code == 0
+            outs.append(out)
+        assert outs[1] == outs[0]
+        assert [json.loads(line)["url"] for line in outs[0].splitlines()] == ["http://a.b", "f"]
+
     def test_corrupt_model_exits_1(self, tmp_path, fixture_model_path):
         blob = bytearray(open(fixture_model_path, "rb").read())
         blob[-10] ^= 0xFF
@@ -264,6 +275,33 @@ class TestBenchCommand:
         code, out = run_cli(["bench", "--model", fixture_model_path, "--urls", str(empty)])
         assert code == 2
         assert out == ""
+
+    def test_a_leading_byte_order_mark_is_dropped(self, fixture_model_path, tmp_path, monkeypatch):
+        timed = []
+        monkeypatch.setattr(cli, "bench_inference", lambda model, urls, reps: timed.append(urls) or {})
+        for mark in (b"", b"\xef\xbb\xbf"):
+            path = tmp_path / "urls.txt"
+            path.write_bytes(mark + b"http://a.b\n  \nf\n")
+            assert run_cli(["bench", "--model", fixture_model_path, "--urls", str(path)])[0] == 0
+        assert timed == [["http://a.b", "f"]] * 2
+
+
+@pytest.mark.parametrize("command", ["eval", "predict", "bench", "serve"])
+def test_a_model_with_a_smaller_vocabulary_exits_1(command, tmp_path, capsys, monkeypatch):
+    def no_server(*args, **kwargs):
+        raise AssertionError("a server was started")
+
+    monkeypatch.setattr(cli, "_Server", no_server)
+    model = tmp_path / "small.pdm"
+    cfg = ModelConfig(vocab_size=20, embed_dim=2, hidden_dim=3, dense_dims=(1,), max_len=10)
+    save_model(build_model(cfg), str(model))
+    data = tmp_path / "d.csv"
+    data.write_text("url,label\nhttp://a.com,1\n")
+    where = {"eval": ["--data", str(data)], "predict": ["--url", "a"], "bench": [],
+             "serve": ["--bind", "127.0.0.1:0"]}[command]
+    code, stdout = run_cli([command, "--model", str(model), *where])
+    assert code == 1 and stdout == ""
+    assert capsys.readouterr().err == f"error: {model}: vocabulary of 20 ids, the URL codec needs 97\n"
 
 
 class TestSynthCommand:
@@ -496,7 +534,8 @@ class TestUsageErrors:
          (["train", "--synthetic", "20", "--embed", "0", "--hidden", "4", "--max-len", "20"], "--embed"),
          (["train", "--synthetic", "20", "--max-len", "0", "--hidden", "4", "--embed", "3"], "--max-len"),
          (["train", "--data", "corpus.csv", "--synthetic", "20", *SMALL_TRAIN], "--synthetic"),
-         (["predict", "--url", "a", "--stdin"], "--stdin")],
+         (["predict", "--url", "a", "--stdin"], "--stdin"),
+         (["train", "--synthetic", "20", "--max-len", str(10**12), "--hidden", "4", "--embed", "3"], "--max-len")],
     )
     def test_flag_out_of_range_exits_2_with_one_line(
         self, argv, flag, fixture_model_path, tmp_path, capsys, monkeypatch

@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from conftest import param_count
-from phishdefense.codec import default_vocab
+from conftest import param_count, patch_header
+from phishdefense.codec import MAX_LEN, default_vocab
 from phishdefense.errors import (
     ModelCorruptionError,
     ModelFormatError,
@@ -120,12 +120,31 @@ class TestLoadModel:
 
     @pytest.mark.parametrize("threshold", [float("nan"), -0.5, 1.5])
     def test_threshold_outside_unit_interval_refused(self, tmp_path, threshold):
+        path = tmp_path / "m.pdm"
+        save_model(small_model(), str(path))
+        # save_model refuses such a threshold, so the header is patched
+        path.write_bytes(patch_header(path.read_bytes(), 6, threshold))
+        with pytest.raises(ModelFormatError, match=r"threshold .* outside \[0, 1\]"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("threshold", [float("nan"), -0.5, 1.5])
+    def test_save_refuses_a_threshold_that_load_refuses(self, tmp_path, threshold):
         m = small_model()
         m.threshold = threshold
-        path = str(tmp_path / "m.pdm")
-        save_model(m, path)
         with pytest.raises(ModelFormatError, match=r"threshold .* outside \[0, 1\]"):
-            load_model(path)
+            save_model(m, str(tmp_path / "m.pdm"))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("max_len", [MAX_LEN + 1, 2**32 - 1])
+    def test_max_len_above_the_codec_limit_refused(self, tmp_path, max_len):
+        path = tmp_path / "m.pdm"
+        save_model(small_model(), str(path))
+        blob = path.read_bytes()
+        path.write_bytes(patch_header(blob, 4, MAX_LEN))
+        assert load_model(str(path)).config.max_len == MAX_LEN
+        path.write_bytes(patch_header(blob, 4, max_len))
+        with pytest.raises(ModelFormatError, match=f"max_len {max_len} above the codec's limit of {MAX_LEN}"):
+            load_model(str(path))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pdm"
