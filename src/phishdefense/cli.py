@@ -75,11 +75,11 @@ def _address(text: str):
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="phishdefense")
-    # argparse converts a string default only when its flag is absent, so a
-    # bad PD_SEED is a usage error unless --seed is given
-    seed = {"type": int, "default": os.environ.get("PD_SEED", str(TrainConfig.seed))}
     probability = _in_range(float, 0.0, 1.0)
     positive = _in_range(int, 1)
+    # argparse converts a string default only when its flag is absent, so a
+    # bad PD_SEED is a usage error unless --seed is given; numpy seeds are >= 0
+    seed = {"type": _in_range(int, 0), "default": os.environ.get("PD_SEED", str(TrainConfig.seed))}
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     scored = argparse.ArgumentParser(add_help=False)  # a model that answers at a threshold
@@ -257,6 +257,15 @@ def make_handler(model: ModelGraph):
 
     class Handler(BaseHTTPRequestHandler):
         timeout = REQUEST_TIMEOUT_S
+        # a request line without a version is answered as HTTP/1.0, not 0.9:
+        # every reply carries its status line and headers
+        default_request_version = "HTTP/1.0"
+
+        def handle(self):
+            try:
+                super().handle()
+            except ConnectionError as e:  # the client hung up before its reply
+                self.log_error("connection lost: %r", e)
 
         def log_message(self, fmt, *args):  # route access logs to stderr
             _log("%s - %s" % (self.address_string(), fmt % args))
@@ -269,25 +278,30 @@ def make_handler(model: ModelGraph):
             self.end_headers()
             self.wfile.write(body)
 
+        def send_error(self, code, message=None, explain=None):
+            """Every error reply, the handler's own and http.server's (414,
+            431, 501, 505, ...), is {"error": message} JSON."""
+            self._reply(code, {"error": message or self.responses[code][0]})
+
         def do_GET(self):
             if self.path == "/health":
                 self._reply(200, {"status": "ok", "model_loaded": True})
             else:
-                self._reply(404, {"error": "not found"})
+                self.send_error(404, "not found")
 
         def do_POST(self):
             if self.path != "/check":
-                self._reply(404, {"error": "not found"})
+                self.send_error(404, "not found")
                 return
             try:
                 length = int(self.headers.get("Content-Length", "0"))
             except ValueError:
                 length = -1
             if length < 0:  # reply without reading a body of unknown size
-                self._reply(400, {"error": "bad request: invalid Content-Length"})
+                self.send_error(400, "bad request: invalid Content-Length")
                 return
             if length > MAX_REQUEST_BODY:
-                self._reply(413, {"error": "request body too large"})
+                self.send_error(413, "request body too large")
                 return
             raw = self.rfile.read(length)
             try:
@@ -297,13 +311,13 @@ def make_handler(model: ModelGraph):
                     raise TypeError("url must be a string")
             except (ValueError, KeyError, TypeError, RecursionError) as e:
                 # RecursionError: json nests deeper than the parser's stack
-                self._reply(400, {"error": f"bad request: {e}"})
+                self.send_error(400, f"bad request: {e}")
                 return
             try:
                 answer = _answer(model, url, vocab)
             except Exception:  # the server keeps running; the client gets a JSON reply
                 _log(traceback.format_exc())
-                self._reply(500, {"error": "internal error"})
+                self.send_error(500, "internal error")
                 return
             self._reply(200, answer)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterator, List, TextIO, Tuple
 
 import numpy as np
 
@@ -12,6 +12,9 @@ from .codec import Vocab, encode_url
 from .errors import DataError
 
 CSV_COLUMNS = ("url", "label")  # a corpus CSV's header, exactly
+# characters in one line of URL text, its line break included: above any row
+# of two fields within csv's default limit of 131,072 characters, quoted
+MAX_LINE = 1 << 20
 _LABEL_TOKENS = {"0": 0, "1": 1, "legitimate": 0, "phishing": 1}
 
 
@@ -29,12 +32,16 @@ class SplitPair:
     test: LabeledDataset
 
 
-def text_lines(fh: Iterable[str], name: str) -> Iterator[str]:
+def text_lines(fh: TextIO, name: str) -> Iterator[str]:
     """The lines of fh, a text stream that decodes strict UTF-8, without a
-    leading byte-order mark; a decode error is a DataError naming name."""
+    leading byte-order mark; a decode error or a line of more than MAX_LINE
+    characters is a DataError naming name. No more than MAX_LINE + 1
+    characters of a line are read."""
     try:  # the stream decodes as it is read: any line can fail
-        for k, line in enumerate(fh):
-            yield line.removeprefix("\ufeff") if k == 0 else line
+        for k, line in enumerate(iter(lambda: fh.readline(MAX_LINE + 1), ""), 1):
+            if len(line) > MAX_LINE:
+                raise DataError(f"{name}:{k}: line longer than {MAX_LINE} characters")
+            yield line.removeprefix("\ufeff") if k == 1 else line
     except UnicodeDecodeError as e:
         raise DataError(f"{name}: not UTF-8 text: {e}") from e
 
@@ -52,20 +59,23 @@ def load_csv(path: str, dedup: bool = False) -> LabeledDataset:
         raise DataError(f"cannot read dataset {path}: {e}") from e
     with fh:
         reader = csv.reader(text_lines(fh, path))
-        header = next(reader, None)
-        if header is None or tuple(c.strip().lower() for c in header) != CSV_COLUMNS:
-            raise DataError(f"{path}: expected header '{','.join(CSV_COLUMNS)}', got {header}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
-            url, raw_label = row[0], row[1].strip().lower()
-            if raw_label not in _LABEL_TOKENS:
-                raise DataError(f"{path}:{reader.line_num}: unknown label {row[1]!r}")
-            if not url:
-                raise DataError(f"{path}:{reader.line_num}: empty url")
-            records.append((url, _LABEL_TOKENS[raw_label]))
+        try:  # csv.Error: a field over csv's size limit
+            header = next(reader, None)
+            if header is None or tuple(c.strip().lower() for c in header) != CSV_COLUMNS:
+                raise DataError(f"{path}: expected header '{','.join(CSV_COLUMNS)}', got {header}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
+                url, raw_label = row[0], row[1].strip().lower()
+                if raw_label not in _LABEL_TOKENS:
+                    raise DataError(f"{path}:{reader.line_num}: unknown label {row[1]!r}")
+                if not url:
+                    raise DataError(f"{path}:{reader.line_num}: empty url")
+                records.append((url, _LABEL_TOKENS[raw_label]))
+        except csv.Error as e:
+            raise DataError(f"{path}:{reader.line_num}: {e}") from e
     if dedup:
         first: Dict[str, int] = {}
         for url, lab in records:

@@ -27,15 +27,16 @@ writes the gradient at the pre-activations into one packed buffer and
 takes dW, db and the input gradients from it after the loop, one GEMM or
 sum each; only dU accumulates per step.
 
-A scan cache holds only what the backward scan reads: "x", the packed
-inputs (sum(lens), d); "acts", the packed gate activations
-(sum(lens), G*h); "states", (S, batch + sum(lens), h) with the initial
-states of all rows in sorted order first and then one block per step
-holding that step's output (S = 2 for the LSTM's h and c, 1 for the GRU's
-h); "sizes", the per-step row counts as Python ints; "rows", the caller
-row at each sorted position; "index", the flat (batch, time) position of
-each packed row; and "width", the time length of the input. The backward
-scan does not modify it.
+A scan cache holds only what the backward scan reads: "cell", the
+CellParams the scan ran, so the gradient is taken at the weights that
+made the activations; "x", the packed inputs (sum(lens), d); "acts", the
+packed gate activations (sum(lens), G*h); "states", (S, batch + sum(lens),
+h) with the initial states of all rows in sorted order first and then one
+block per step holding that step's output (S = 2 for the LSTM's h and c,
+1 for the GRU's h); "sizes", the per-step row counts as Python ints;
+"rows", the caller row at each sorted position; "index", the flat (batch,
+time) position of each packed row; and "width", the time length of the
+input. The backward scan does not modify it.
 
 Forward-only scoring: `infer_scan` runs the same cell steps over the same
 sorted prefixes but keeps no cache. It folds the embedding into the input
@@ -273,15 +274,15 @@ def _scan(
     # each row's state after its own last step, back in caller order
     final = np.empty((p.STATES, b, h))
     final[:, order] = states[:, np.array(bounds[:-1])[lens] + np.arange(b)]
-    cache = {"x": x, "acts": acts, "states": states, "sizes": sizes,
+    cache = {"cell": p, "x": x, "acts": acts, "states": states, "sizes": sizes,
              "rows": order, "index": index, "width": width}
     return final, cache
 
 
-def _bptt(
-    p: CellParams, cache: Cache, d_h_final: np.ndarray, who: str
-) -> Tuple[ParamSet, np.ndarray]:
-    """The backward scan of both cells: per-gate gradients and input gradients."""
+def _bptt(cache: Cache, d_h_final: np.ndarray, who: str) -> Tuple[ParamSet, np.ndarray]:
+    """The backward scan of both cells, at the weights of the cell that
+    filled cache: per-gate gradients and input gradients."""
+    p = cache["cell"]
     d_h_final = np.atleast_2d(np.asarray(d_h_final, dtype=np.float64))
     if d_h_final.shape[1] != p.hidden_dim:
         raise ShapeError(
@@ -323,11 +324,9 @@ def lstm_forward(
     return (final[0], final[1]), cache
 
 
-def lstm_backward(
-    p: LstmParams, caches: Cache, d_h_final: np.ndarray
-) -> Tuple[ParamSet, np.ndarray]:
+def lstm_backward(cache: Cache, d_h_final: np.ndarray) -> Tuple[ParamSet, np.ndarray]:
     """BPTT gradients for all 12 LSTM tensors plus input gradients."""
-    return _bptt(p, caches, d_h_final, "lstm_backward")
+    return _bptt(cache, d_h_final, "lstm_backward")
 
 
 def gru_forward(
@@ -341,11 +340,9 @@ def gru_forward(
     return final[0], cache
 
 
-def gru_backward(
-    p: GruParams, caches: Cache, d_h_final: np.ndarray
-) -> Tuple[ParamSet, np.ndarray]:
+def gru_backward(cache: Cache, d_h_final: np.ndarray) -> Tuple[ParamSet, np.ndarray]:
     """BPTT gradients for all 9 GRU tensors plus input gradients."""
-    return _bptt(p, caches, d_h_final, "gru_backward")
+    return _bptt(cache, d_h_final, "gru_backward")
 
 
 def infer_scan(
@@ -424,7 +421,7 @@ def dropout(
 def dense_forward(
     w: np.ndarray, b: np.ndarray, x: np.ndarray, activation: str = "none"
 ) -> Tuple[np.ndarray, Cache]:
-    """x W + b followed by a sigmoid or no activation."""
+    """x W + b followed by a sigmoid or no activation; the cache keeps x, w and the output."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != w.shape[0]:
         raise ShapeError(f"dense: input dim {x.shape[1]} != weight rows {w.shape[0]}")
@@ -435,15 +432,9 @@ def dense_forward(
         out = pre
     else:
         raise ValueError(f"unknown activation {activation!r}")
-    return out, {"x": x, "pre": pre, "out": out}
+    return out, {"x": x, "w": w, "out": out}
 
 
-def dense_backward(
-    w: np.ndarray, cache: Cache, d_pre: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def dense_backward(cache: Cache, d_pre: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients for (w, b, x) given the gradient at the pre-activation."""
-    x = cache["x"]
-    dw = x.T @ d_pre
-    db = d_pre.sum(axis=0)
-    dx = d_pre @ w.T
-    return dw, db, dx
+    return cache["x"].T @ d_pre, d_pre.sum(axis=0), d_pre @ cache["w"].T

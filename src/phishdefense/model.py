@@ -200,30 +200,28 @@ def bce_loss(y: np.ndarray, p: np.ndarray) -> Tuple[float, np.ndarray]:
 def backward_batch(
     m: ModelGraph, caches: Dict, labels: np.ndarray
 ) -> Tuple[ParamSet, float]:
-    """Full parameter gradients of the mean BCE over the batch."""
+    """Full parameter gradients of the mean BCE over the batch, at the
+    weights the forward pass that filled caches ran: every weight is read
+    from caches, none from m.params."""
     cfg = m.config
-    probs = caches["probs"]
+    probs, dense = caches["probs"], caches["dense"]
     labels = np.asarray(labels, dtype=np.float64)
     loss, dp = bce_loss(labels, probs)
-    last = len(cfg.dense_dims) - 1
+    last = len(dense) - 1
     # d(loss)/d(logit), spread over the last dense layer's outputs z
-    dz = (dp * probs * (1.0 - probs))[:, None] * _HEADS[cfg.dense_dims[-1]][1]
+    dx = (dp * probs * (1.0 - probs))[:, None] * _HEADS[cfg.dense_dims[-1]][1]
     grads: ParamSet = {}
-    dw, db, dx = dense_backward(m.params[f"dense{last}.w"], caches["dense"][last], dz)
-    grads[f"dense{last}.w"], grads[f"dense{last}.b"] = dw, db
-    if caches["drop_mask"] is not None:
-        dx = dx * caches["drop_mask"]
-    for k in range(last - 1, -1, -1):
-        # hidden dense layers use a sigmoid activation
-        a = caches["dense"][k]["out"]
-        dw, db, dx = dense_backward(m.params[f"dense{k}.w"], caches["dense"][k], dx * a * (1.0 - a))
-        grads[f"dense{k}.w"], grads[f"dense{k}.b"] = dw, db
-    if cfg.cell_kind == "lstm":
-        cell_grads, dxs = lstm_backward(m.cell, caches["cell"], dx)
-    else:
-        cell_grads, dxs = gru_backward(m.cell, caches["cell"], dx)
+    for k in range(last, -1, -1):
+        if k < last:  # hidden dense layers use a sigmoid activation
+            a = dense[k]["out"]
+            dx = dx * a * (1.0 - a)
+        grads[f"dense{k}.w"], grads[f"dense{k}.b"], dx = dense_backward(dense[k], dx)
+        if k == last and caches["drop_mask"] is not None:
+            dx = dx * caches["drop_mask"]
+    backward = lstm_backward if cfg.cell_kind == "lstm" else gru_backward
+    cell_grads, dxs = backward(caches["cell"], dx)
     grads.update({f"cell.{k}": v for k, v in cell_grads.items()})
-    grads["embed"] = embedding_backward(m.params["embed"].shape, caches["ids"], dxs)
+    grads["embed"] = embedding_backward((cfg.vocab_size, cfg.embed_dim), caches["ids"], dxs)
     return grads, loss
 
 

@@ -247,3 +247,15 @@ def confusion_fixture():
         records=[(ch, 1) for ch in "abcd"] + [(ch, 0) for ch in "efghij"]
     )
     return model, ds
+
+
+def read_until_close(sock) -> bytes:
+    """Every byte a server sends on sock until it closes the connection; a
+    reset (a close with request bytes unread) ends the reply too."""
+    reply = b""
+    try:
+        while chunk := sock.recv(65536):
+            reply += chunk
+    except ConnectionResetError:
+        pass
+    return reply

@@ -5,6 +5,7 @@ import json
 import re
 import shlex
 import socket
+import struct
 import threading
 import time
 from contextlib import contextmanager, redirect_stdout
@@ -13,11 +14,11 @@ from pathlib import Path
 import pytest
 import requests
 
-from conftest import confusion_fixture, labels
+from conftest import confusion_fixture, labels, read_until_close
 from phishdefense import cli
 from phishdefense.cli import main, make_handler
 from phishdefense.codec import default_vocab
-from phishdefense.data import LabeledDataset
+from phishdefense.data import MAX_LINE, LabeledDataset
 from phishdefense.layers import CELLS
 from phishdefense.model import ModelConfig, ModelGraph, build_model, predict
 from phishdefense.store import load_model, save_model
@@ -364,6 +365,14 @@ def serving(model):
         server.server_close()
 
 
+def raw_exchange(base, request):
+    """The bytes the server at base replies to request, read until it closes."""
+    host, _, port = base[len("http://"):].partition(":")
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(request)
+        return read_until_close(sock)
+
+
 @pytest.fixture(scope="module")
 def http_server(fixture_model_path):
     with serving(load_model(fixture_model_path)) as base:
@@ -483,6 +492,40 @@ class TestServe:
             t.join()
         assert results == serial
 
+    @pytest.mark.parametrize("request_bytes, status", [
+        (b"PUT /check HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}", 501),
+        (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+        (b"GET /health HTTP/1.1\r\n" + b"X-A: b\r\n" * 150 + b"\r\n", 431),
+        (b"GET /health HTTP/9.9\r\n\r\n", 505),
+        (b"\0" * 32 + b"\r\n\r\n", 400),
+        (b"POST /check\r\n\r\n", 400),  # no version: an HTTP/0.9 request
+    ], ids=["method", "long-line", "headers", "version", "nul", "http-0.9"])
+    def test_errors_of_the_http_server_reply_json(self, http_server, request_bytes, status):
+        head, body = raw_exchange(http_server, request_bytes).split(b"\r\n\r\n", 1)
+        status_line, *headers = head.split(b"\r\n")
+        assert status_line.split()[1] == b"%d" % status
+        assert b"Content-Type: application/json" in headers
+        assert b"Content-Length: %d" % len(body) in headers
+        assert list(json.loads(body)) == ["error"]
+
+    @pytest.mark.parametrize("reset", [False, True])
+    def test_a_client_that_hangs_up_costs_one_log_line(self, fixture_model_path, capsys, reset):
+        # 13 of 14 promised body bytes, then the client closes (or resets)
+        with serving(load_model(fixture_model_path)) as base:
+            host, _, port = base[len("http://"):].partition(":")
+            sock = socket.create_connection((host, int(port)), timeout=5)
+            if reset:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.sendall(b'POST /check HTTP/1.1\r\nContent-Length: 14\r\n\r\n{"url": "abc"')
+            sock.close()
+            # the hung-up connection was accepted first: leaving serving() joins its thread
+            assert requests.get(base + "/health", timeout=5).status_code == 200
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lost = [line for line in err.splitlines() if "connection lost" in line]
+        # a reset always breaks the exchange; a plain close may come after the reply
+        assert len(lost) == 1 if reset else len(lost) <= 1
+
     def test_a_burst_of_connections_waits_in_the_backlog(self, fixture_model_path):
         server = cli._Server(("127.0.0.1", 0), make_handler(load_model(fixture_model_path)))
         clients = []
@@ -554,6 +597,16 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["synth", "--n", "20"], ["train", "--synthetic", "20", *SMALL_TRAIN]])
+    def test_a_negative_seed_exits_2_with_one_line(self, argv, tmp_path, capsys):
+        # numpy seeds are non-negative: a negative one must not reach them
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--seed", "-1", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert len(err.splitlines()) == 1 and "argument --seed:" in err
+        assert not (tmp_path / "out").exists()
+
     def test_resume_flag_is_gone(self, tmp_path, capsys):
         work, out = tmp_path / "work", tmp_path / "m.pdm"
         with pytest.raises(SystemExit) as exc:
@@ -597,6 +650,30 @@ class TestUsageErrors:
         assert code == 1 and stdout == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error:") and f"{named}: not UTF-8 text" in err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_a_field_over_the_csv_limit_exits_1_with_one_line(
+        self, command, fixture_model_path, tmp_path, capsys
+    ):
+        data = tmp_path / "long.csv"
+        data.write_text("url,label\nhttp://a.example/" + "x" * 200_000 + ",1\n")
+        argv = {
+            "train": ["train", "--data", str(data), "--out", str(tmp_path / "m.pdm"), *SMALL_TRAIN],
+            "eval": ["eval", "--model", fixture_model_path, "--data", str(data)],
+        }[command]
+        code, stdout = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 1 and stdout == ""
+        assert err == f"error: {data}:2: field larger than field limit (131072)\n"
+
+    def test_a_30_mb_stdin_line_exits_1_unechoed(self, fixture_model_path, capsys, monkeypatch):
+        line = "http://a.example/" + "x" * 30_000_000 + "\n"
+        code, stdout = run_cli(["predict", "--model", fixture_model_path, "--stdin"],
+                               "http://b.example/\n" + line, monkeypatch)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert [json.loads(out)["url"] for out in stdout.splitlines()] == ["http://b.example/"]
+        assert err == f"error: <stdin>:2: line longer than {MAX_LINE} characters\n"
 
 
 def test_readme_cli_matches_the_parser():

@@ -1,3 +1,5 @@
+import csv
+import io
 import re
 from collections import Counter
 
@@ -7,7 +9,7 @@ from hypothesis import assume, given, strategies as st
 
 from conftest import labels
 from phishdefense.codec import default_vocab
-from phishdefense.data import LabeledDataset, batches, load_csv, split
+from phishdefense.data import MAX_LINE, LabeledDataset, batches, load_csv, split, text_lines
 from phishdefense.errors import DataError
 
 VOCAB = default_vocab()
@@ -98,6 +100,33 @@ class TestLoadCsv:
     def test_dedup_keeps_the_first_record_of_each_url(self, tmp_path):
         path = write_csv(tmp_path, ["a,1", "b,0", "a,0"])
         assert load_csv(path, dedup=True).records == [("a", 1), ("b", 0)]
+
+    def test_a_field_over_the_csv_limit_names_the_line(self, tmp_path):
+        path = write_csv(tmp_path, ["http://a.example,0", "http://b.example/" + "x" * 200_000 + ",1"])
+        with pytest.raises(DataError, match=re.escape(f"{path}:3: field larger than field limit")):
+            load_csv(path)
+
+    def test_every_row_within_the_csv_limit_loads(self, tmp_path):
+        # two fields at csv's limit, every character a quote that quoting doubles
+        limit = csv.field_size_limit()
+        url = '"' * limit
+        row = '"' + url.replace('"', '""') + '","' + " " * (limit - 1) + '1"'
+        assert len(row) < MAX_LINE
+        assert load_csv(write_csv(tmp_path, [row])).records == [(url, 1)]
+
+
+class TestTextLines:
+    def test_a_line_at_the_bound_is_read(self):
+        line = "x" * (MAX_LINE - 1) + "\n"
+        assert list(text_lines(io.StringIO(line + "y"), "in")) == [line, "y"]
+
+    def test_a_longer_line_is_refused_after_bound_plus_one_characters(self):
+        fh = io.StringIO("a\n" + "x" * (3 * MAX_LINE) + "\nb\n")
+        lines = text_lines(fh, "in")
+        assert next(lines) == "a\n"
+        with pytest.raises(DataError, match=re.escape(f"in:2: line longer than {MAX_LINE} characters")):
+            next(lines)
+        assert fh.tell() == 2 + MAX_LINE + 1
 
 
 def toy_dataset(n, phish_every=2):

@@ -1,21 +1,28 @@
-"""Fuzz gate for the two inputs a deployed model reads: PDM1 model files and
-URL text. Every case runs in process through `cli.main` and must end in an
-exit code with one stderr line per failure, never in an exception."""
+"""Fuzz gate for what a deployed model and a training run read: PDM1 model
+files, URL text, HTTP requests, training checkpoints and command lines.
+Every command-line case runs in process through `cli.main` and must end in
+an exit code with one stderr line per failure, never in an exception; every
+HTTP request gets a JSON reply or a closed connection."""
 
+import argparse
 import io
 import json
+import socket
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+import threading
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import confusion_fixture, patch_header
+from conftest import confusion_fixture, patch_header, read_until_close
+from phishdefense import cli
 from phishdefense.cli import main
 from phishdefense.codec import default_vocab
 from phishdefense.model import ModelConfig, build_model
-from phishdefense.store import save_model
+from phishdefense.store import load_model, save_model
 
 FUZZ = settings(max_examples=60, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -143,3 +150,252 @@ def test_url_text_on_eval_data(scoring_model, tmp_path, data):
     if code != 0:
         assert out == ""
         assert_one_error_line(err)
+
+
+@contextmanager
+def serving(model):
+    """The address of a serve endpoint for model, in a thread; leaving joins
+    every handler thread."""
+    server = cli._Server(("127.0.0.1", 0), cli.make_handler(model))
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield server.server_address
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def latin1_text(max_size):
+    return st.text(st.characters(max_codepoint=255), max_size=max_size)
+
+
+def mostly(choices, other):
+    """One of choices three times in four, else a draw from other."""
+    return st.one_of(*[st.sampled_from(choices)] * 3, other)
+
+
+def http_request():
+    """Request bytes: a method, a path, a version, header lines, an optional
+    Content-Length of any text (or the body's true length) and a body."""
+    method = mostly(["GET", "POST", "PUT", "HEAD", "DELETE"], latin1_text(8))
+    path = mostly(["/check", "/health", "/", "/check?x=1"], latin1_text(20))
+    version = mostly(["HTTP/1.1", "HTTP/1.0", "HTTP/2.0", ""], latin1_text(10))
+    headers = st.lists(st.tuples(latin1_text(10), latin1_text(20)), max_size=5)
+    length = mostly(["true"], st.one_of(st.none(), st.integers(-2, 40_000).map(str), latin1_text(8)))
+    body = st.one_of(st.binary(max_size=20 * 1024),
+                     st.text(max_size=100).map(lambda url: json.dumps({"url": url}).encode()))
+
+    def build(method, path, version, headers, length, body):
+        lines = [f"{method} {path} {version}".rstrip()] + [f"{k}: {v}" for k, v in headers]
+        if length is not None:
+            lines.append(f"Content-Length: {len(body) if length == 'true' else length}")
+        return "\r\n".join(lines + ["", ""]).encode("latin-1") + body
+
+    return st.builds(build, method, path, version, headers, length, body)
+
+
+HTTP_STATUSES = {200, 400, 404, 413, 414, 431, 501, 505}
+
+
+def test_every_http_request_gets_a_json_reply_or_a_close(scoring_model, monkeypatch):
+    monkeypatch.setattr(cli, "REQUEST_TIMEOUT_S", 0.25)
+    err = io.StringIO()
+    with redirect_stderr(err), serving(load_model(scoring_model)) as address:
+
+        @FUZZ
+        @given(request=http_request(), ending=st.sampled_from(["wait", "half-close", "hang up"]))
+        def exchange(request, ending):
+            with socket.create_connection(address, timeout=cli.REQUEST_TIMEOUT_S + 5) as sock:
+                try:
+                    sock.sendall(request)
+                    if ending == "half-close":
+                        sock.shutdown(socket.SHUT_WR)
+                except OSError:  # the server replied and closed before all was sent
+                    pass
+                if ending == "hang up":
+                    return
+                reply = read_until_close(sock)
+            if not reply:  # closed without a reply: the request never completed
+                return
+            head, _, body = reply.partition(b"\r\n\r\n")
+            status_line, *lines = head.decode("latin-1").split("\r\n")
+            headers = dict(line.split(": ", 1) for line in lines)
+            assert int(status_line.split()[1]) in HTTP_STATUSES, status_line
+            assert headers["Content-Type"] == "application/json"
+            assert int(headers["Content-Length"]) == len(body)
+            payload = json.loads(body)
+            assert status_line.split()[1] == "200" or list(payload) == ["error"]
+
+        exchange()
+        with socket.create_connection(address, timeout=5) as sock:
+            sock.sendall(b"GET /health HTTP/1.1\r\n\r\n")
+            assert read_until_close(sock).startswith(b"HTTP/1.0 200 ")
+    assert "Traceback" not in err.getvalue()
+
+
+TRAIN_ARGS = ["train", "--synthetic", "40", "--seed", "2", "--batch", "20", "--hidden", "4",
+              "--embed", "3", "--max-len", "20", "--epochs", "1"]
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    """The train_state.npz bytes of a 1-epoch run of TRAIN_ARGS."""
+    work = tmp_path_factory.mktemp("checkpoint")
+    code, _, _ = run([*TRAIN_ARGS, "--workdir", str(work), "--out", str(work / "m.pdm")])
+    assert code == 0
+    return (work / "train_state.npz").read_bytes()
+
+
+DELETE = object()  # a meta edit that removes the value
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def json_paths(node, at=()):
+    """The path (keys and indices) of every value in a JSON tree."""
+    yield at
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from json_paths(child, at + (key,))
+
+
+def checkpoint_arrays(blob):
+    with np.load(io.BytesIO(blob)) as npz:
+        return {k: npz[k] for k in npz.files}
+
+
+def checkpoint_bytes(arrays):
+    out = io.BytesIO()
+    np.savez(out, **arrays)
+    return out.getvalue()
+
+
+def with_tensor_cast(blob, data):
+    """blob, a checkpoint, with one tensor cast to another dtype."""
+    arrays = checkpoint_arrays(blob)
+    name = data.draw(st.sampled_from(sorted(set(arrays) - {"__meta__"})), label="tensor")
+    arrays[name] = arrays[name].astype(data.draw(st.sampled_from(["<U8", "<f4", "<i8", "?", "<c16"])))
+    return checkpoint_bytes(arrays)
+
+
+def with_meta_edit(blob, data):
+    """blob, a checkpoint, with one value of its meta JSON replaced or deleted."""
+    arrays = checkpoint_arrays(blob)
+    meta = json.loads(bytes(arrays["__meta__"]).decode())
+    path = data.draw(st.sampled_from(list(json_paths(meta))), label="path")
+    value = data.draw(st.one_of(st.just(DELETE), JSON_VALUES), label="value")
+    if not path:
+        meta = {} if value is DELETE else value
+    else:
+        parent = meta
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    return checkpoint_bytes(arrays)
+
+
+@settings(FUZZ, max_examples=40)
+@given(how=st.sampled_from(["random", "truncate", "flip", "meta", "dtype"]), data=st.data())
+def test_a_rerun_on_a_mangled_checkpoint_exits_0_or_1(checkpoint, tmp_path_factory, how, data):
+    blob = checkpoint
+    if how == "random":
+        blob = data.draw(st.binary(max_size=2000), label="bytes")
+    elif how == "truncate":
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    elif how == "flip":
+        at = data.draw(st.integers(0, len(blob) - 1), label="at")
+        blob = blob[:at] + bytes([blob[at] ^ data.draw(st.integers(1, 255), label="xor")]) + blob[at + 1:]
+    elif how == "meta":
+        blob = with_meta_edit(blob, data)
+    else:
+        blob = with_tensor_cast(blob, data)
+    work = tmp_path_factory.mktemp("rerun")
+    (work / "train_state.npz").write_bytes(blob)
+    code, out, err = run([*TRAIN_ARGS, "--workdir", str(work), "--out", str(work / "m.pdm")])
+    assert code in (0, 1)
+    if code == 0:
+        assert json.loads(out)["model_path"] == str(work / "m.pdm")
+    else:
+        assert out == ""
+        assert_one_error_line("".join(line for line in err.splitlines(True) if not line.startswith("epoch ")))
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory, scoring_model):
+    """Paths a command line may name: inputs of each kind, a missing file and
+    a directory to write outputs to."""
+    root = tmp_path_factory.mktemp("argv")
+    corpus, urls = root / "corpus.csv", root / "urls.txt"
+    assert run(["synth", "--n", "40", "--seed", "1", "--out", str(corpus)])[0] == 0
+    urls.write_text("http://a.example/login\nhttps://b.example/\n")
+    (root / "out").mkdir()
+    return {"model": scoring_model, "corpus": str(corpus), "urls": str(urls),
+            "missing": str(root / "missing"), "dir": str(root), "out": root / "out"}
+
+
+def argv(files):
+    """An argument list of a subcommand other than serve: a small valid one,
+    then up to 6 of the subcommand's own flags, each with a value of its kind
+    or, one time in ten, any text. Sizes stay small: --synthetic and --n at
+    most 40, --epochs 1, --hidden and --embed 8, --max-len 40, --reps 3."""
+    out = files["out"]
+    inputs = st.sampled_from([files[k] for k in ("model", "corpus", "urls", "missing", "dir")])
+    base = {
+        "train": [["--synthetic", "40"], ["--data", files["corpus"]]],
+        "eval": [["--model", files["model"], "--data", files["corpus"]]],
+        "predict": [["--model", files["model"], "--url", "http://a.example/"],
+                    ["--model", files["model"], "--stdin"]],
+        "bench": [["--model", files["model"], "--reps", "3"]],
+        "synth": [["--n", "40", "--out", str(out / "corpus.csv")]],
+    }
+    base["train"] = [source + ["--out", str(out / "m.pdm"), "--epochs", "1", "--hidden", "8",
+                               "--embed", "8", "--max-len", "40"] for source in base["train"]]
+    small = {"--synthetic": 40, "--n": 40, "--epochs": 1, "--batch": 50, "--max-len": 40,
+             "--embed": 8, "--hidden": 8, "--reps": 3}
+    values = {
+        "--model": inputs, "--data": inputs, "--urls": inputs,
+        "--out": st.sampled_from([str(out / "m.pdm"), str(out), str(out / "no" / "m.pdm")]),
+        "--history": st.sampled_from([str(out / "h.jsonl"), str(out)]),
+        "--workdir": st.sampled_from([str(out / "work"), files["corpus"], str(out / "no" / "w")]),
+        "--cell": st.sampled_from(["gru", "lstm"]),
+        "--url": st.text(max_size=30),
+        "--seed": st.integers(-2**70, 2**70).map(str),
+        **{flag: st.floats().map(str) for flag in ("--lr", "--threshold", "--fraction")},
+        **{flag: st.integers(-1, high).map(str) for flag, high in small.items()},
+    }
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+    @st.composite
+    def draw(draw):
+        name = draw(st.sampled_from(sorted(base)))
+        args = [name, *draw(st.sampled_from(base[name]))]
+        flags = [a for a in sub.choices[name]._actions if a.option_strings]
+        for action in draw(st.lists(st.sampled_from(flags), max_size=6)):
+            flag = draw(st.sampled_from(action.option_strings))
+            args.append(flag)
+            if action.nargs != 0:
+                junk = draw(st.integers(0, 9)) == 0
+                args.append(draw(st.text(max_size=8) if junk else values[flag]))
+        return args
+
+    assert set(base) == set(sub.choices) - {"serve"}
+    return draw()
+
+
+@settings(FUZZ, max_examples=40)
+@given(data=st.data())
+def test_any_command_line_exits_0_1_or_2(argv_files, data):
+    args = data.draw(argv(argv_files), label="argv")
+    with mock.patch.object(sys, "stdin", io.StringIO("http://a.example/\n")):
+        try:
+            code = run(args)[0]
+        except SystemExit as e:  # argparse: a usage error, or --help
+            code = e.code
+    assert code in (0, 1, 2)

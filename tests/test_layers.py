@@ -132,7 +132,7 @@ class TestLstmBackward:
     def test_zero_upstream(self, rng):
         p = LstmParams.init(3, 4, seed=8)
         _, caches = lstm_forward(p, rng.standard_normal((2, 5, 3)))
-        grads, dxs = lstm_backward(p, caches, np.zeros((2, 4)))
+        grads, dxs = lstm_backward(caches, np.zeros((2, 4)))
         for g in grads.values():
             assert np.all(g == 0)
         assert np.all(dxs == 0)
@@ -142,7 +142,7 @@ class TestLstmBackward:
         xs = rng.standard_normal((2, 5, 3))
         lens = np.array([5, 3])
         (h, _), caches = lstm_forward(p, xs, lens=lens)
-        grads, _ = lstm_backward(p, caches, np.ones_like(h))
+        grads, _ = lstm_backward(caches, np.ones_like(h))
 
         def loss_fn(params):
             q = LstmParams.from_dict(params)
@@ -159,7 +159,7 @@ class TestLstmBackward:
         p = LstmParams.init(2, 3, seed=10)
         xs = rng.standard_normal((1, 4, 2))
         (h, _), caches = lstm_forward(p, xs)
-        _, dxs = lstm_backward(p, caches, np.ones_like(h))
+        _, dxs = lstm_backward(caches, np.ones_like(h))
 
         def loss_fn(params):
             (hf, _), _ = lstm_forward(p, params["x"])
@@ -178,7 +178,7 @@ class TestLstmBackward:
         gate(p, "b_o")[:] = 0.3
         c0 = np.array([[0.7]])
         _, caches = lstm_forward(p, np.zeros((1, 1, 1)), c0=c0)
-        grads, _ = lstm_backward(p, caches, np.ones((1, 1)))
+        grads, _ = lstm_backward(caches, np.ones((1, 1)))
         s = 1.0 / (1.0 + np.exp(-0.3))
         expected = s * (1 - s) * np.tanh(0.7)
         np.testing.assert_allclose(grads["b_o"], [expected], atol=1e-12)
@@ -230,7 +230,7 @@ class TestGruForwardBackward:
     def test_zero_upstream(self, rng):
         p = GruParams.init(3, 4, seed=10)
         _, caches = gru_forward(p, rng.standard_normal((2, 5, 3)))
-        grads, dxs = gru_backward(p, caches, np.zeros((2, 4)))
+        grads, dxs = gru_backward(caches, np.zeros((2, 4)))
         for g in grads.values():
             assert np.all(g == 0)
         assert np.all(dxs == 0)
@@ -240,7 +240,7 @@ class TestGruForwardBackward:
         xs = rng.standard_normal((2, 5, 3))
         lens = np.array([5, 2])
         h, caches = gru_forward(p, xs, lens=lens)
-        grads, _ = gru_backward(p, caches, np.ones_like(h))
+        grads, _ = gru_backward(caches, np.ones_like(h))
 
         def loss_fn(params):
             q = GruParams.from_dict(params)
@@ -309,7 +309,7 @@ class TestPackedScan:
         p, xs, state0 = self.setup_case(kind, rng, seed=14)
         _, cache = packed_run(kind, p, xs, PACKED_LENS, state0)
         before = {k: np.copy(v) for k, v in cache.items() if isinstance(v, np.ndarray)}
-        _, dxs = PACKED_CELLS[kind][2](p, cache, rng.standard_normal((len(PACKED_LENS), 4)))
+        _, dxs = PACKED_CELLS[kind][2](cache, rng.standard_normal((len(PACKED_LENS), 4)))
         assert dxs.shape == xs.shape
         for row, n in enumerate(PACKED_LENS):
             assert np.all(dxs[row, n:] == 0.0)
@@ -322,7 +322,7 @@ class TestPackedScan:
         p, xs, state0 = self.setup_case(kind, rng, seed=15)
         weights = rng.standard_normal((len(PACKED_LENS), 4))
         (h, *_), cache = packed_run(kind, p, xs, PACKED_LENS, state0)
-        grads, dxs = backward(p, cache, weights)
+        grads, dxs = backward(cache, weights)
 
         def loss_fn(ps):
             q = params.from_dict({k: v for k, v in ps.items() if k != "x"})
@@ -422,7 +422,7 @@ class TestDense:
         x = rng.standard_normal((4, 3))
         out, cache = dense_forward(w, b, x, "none")
         d_pre = np.ones_like(out)
-        dw, db, dx = dense_backward(w, cache, d_pre)
+        dw, db, dx = dense_backward(cache, d_pre)
 
         fd = finite_diff_grad(
             lambda ps: float(dense_forward(ps["w"], ps["b"], ps["x"], "none")[0].sum()),

@@ -16,6 +16,7 @@ from phishdefense.model import (
     predict,
 )
 from phishdefense.store import load_model, save_model
+from phishdefense.tensor import AdamState, adam_step
 from phishdefense.train import evaluate
 
 VOCAB = default_vocab()
@@ -193,6 +194,23 @@ class TestBackwardBatch:
             num = fd[name]
             err = np.abs(num - ana) / np.maximum(np.abs(num), 1e-7)
             assert np.max(err) < 1e-4, name
+
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    def test_gradients_are_taken_at_the_forward_weights(self, cell, rng):
+        # replacing the parameters between the passes must not reach the gradient
+        m = build_model(tiny_config(cell))
+        ids = rng.integers(0, 10, size=(3, 6))
+        lens = np.array([6, 4, 2])
+        labels = np.array([1, 0, 1])
+        _, caches = forward_batch(m, ids, lens, mode="train", seed=5)
+        want, want_loss = backward_batch(m, caches, labels)
+        _, caches = forward_batch(m, ids, lens, mode="train", seed=5)
+        m.params = adam_step(m.params, want, AdamState(alpha=0.1))
+        got, got_loss = backward_batch(m, caches, labels)
+        assert got_loss == want_loss
+        assert got.keys() == want.keys()
+        for k in want:
+            np.testing.assert_array_equal(got[k], want[k], err_msg=k)
 
     def test_duplicated_batch_same_gradients(self, rng):
         m = build_model(tiny_config("gru"))

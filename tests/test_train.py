@@ -334,6 +334,19 @@ class TestTrain:
             train(tiny_model(seed=8), pair, TrainConfig(epochs=2, batch_size=50, seed=8),
                   checkpoint_dir=str(tmp_path))
 
+    @pytest.mark.parametrize("dtype", ["<U8", "<f4", "<i8"])
+    def test_resume_refuses_a_tensor_that_is_not_float64(self, tmp_path, dtype):
+        pair = split(make_synthetic_corpus(100, 0.5, 8), 0.75, 8)
+        train(tiny_model(seed=8), pair, TrainConfig(epochs=1, batch_size=50, seed=8),
+              checkpoint_dir=str(tmp_path))
+        state = tmp_path / "train_state.npz"
+        data = dict(np.load(state))
+        data["cur.embed"] = data["cur.embed"].astype(dtype)
+        np.savez(state, **data)
+        with pytest.raises(ModelFormatError, match=r"do not match the model's parameters: cur\.embed$"):
+            train(tiny_model(seed=8), pair, TrainConfig(epochs=2, batch_size=50, seed=8),
+                  checkpoint_dir=str(tmp_path))
+
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(field=st.sampled_from(list(EpochRecord.__dataclass_fields__)),
            value=st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
