@@ -11,13 +11,16 @@ import csv
 import io
 import json
 import os
+import signal
 import sys
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
+
 from .codec import MAX_LEN, Vocab, default_vocab
 from .data import CSV_COLUMNS, load_csv, split, text_lines
-from .errors import ModelFormatError, PhishDefenseError
+from .errors import ModelFormatError, NumericError, PhishDefenseError
 from .layers import CELLS
 from .model import ModelConfig, ModelGraph, default_config, build_model, predict
 from .store import atomic_write, load_model, save_model
@@ -37,15 +40,37 @@ MAX_REQUEST_BODY = 16 * 1024
 # body shorter than its Content-Length) before it is closed
 REQUEST_TIMEOUT_S = 10.0
 LATENCY_SAMPLE = 50  # URLs eval times single-URL predict on
+STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+# C0 and C1 control characters and DEL, written as \xNN
+_CONTROL_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
 
 
 class _Server(ThreadingHTTPServer):
     # socketserver's listen backlog of 5 drops most connects of a burst
     request_queue_size = 128
+    supervisor = None  # in a forked worker, the pid of the process that forked it
+
+    def service_actions(self):
+        # a worker whose supervisor is gone (killed, say) stops serving, so
+        # nothing is left holding the port
+        if self.supervisor is not None and os.getppid() != self.supervisor:
+            os._exit(0)
 
 
 def _log(msg: str) -> None:
-    print(msg, file=sys.stderr)
+    """One stderr line, written at once (serve's processes share stderr),
+    with every control character escaped: a client's request line cannot
+    move the operator's cursor, nor a path split the line."""
+    sys.stderr.write(msg.translate(_CONTROL_ESCAPES) + "\n")
+
+
+def _json(payload: dict) -> str:
+    """payload as JSON text; RFC 8259 has no NaN or Infinity, so a
+    non-finite number is an error, not a line a strict parser rejects."""
+    try:
+        return json.dumps(payload, allow_nan=False)
+    except ValueError:
+        raise NumericError("the output holds a number that is not finite") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,6 +169,9 @@ def _scored_model(path: str, threshold: float | None = None) -> ModelGraph:
     have, need = model.config.vocab_size, default_vocab().size
     if have < need:
         raise ModelFormatError(f"{path}: vocabulary of {have} ids, the URL codec needs {need}")
+    for name, tensor in model.params.items():  # a NaN weight would call every URL legitimate
+        if not np.isfinite(tensor).all():
+            raise ModelFormatError(f"{path}: tensor {name} holds a value that is not finite")
     if threshold is not None:
         model.threshold = threshold
     return model
@@ -193,7 +221,7 @@ def cmd_train(args) -> int:
     out = report.to_dict()
     out["epochs_run"] = len(history)
     out["model_path"] = args.out
-    print(json.dumps(out))
+    print(_json(out))
     return 0
 
 
@@ -203,7 +231,7 @@ def cmd_eval(args) -> int:
     report = evaluate(model, ds)
     urls = [url for url, _ in ds.records[:LATENCY_SAMPLE]]
     report.mean_inference_seconds = bench_inference(model, urls, len(urls))["mean"]
-    print(json.dumps(report.to_dict()))
+    print(_json(report.to_dict()))
     return 0
 
 
@@ -214,7 +242,7 @@ def cmd_predict(args) -> int:
         sys.stdin.reconfigure(encoding="utf-8", errors="strict")
     urls = (line.rstrip("\r\n") for line in text_lines(sys.stdin, "<stdin>")) if args.stdin else [args.url]
     for url in urls:
-        print(json.dumps(_answer(model, url, vocab)))
+        print(_json(_answer(model, url, vocab)))
     return 0
 
 
@@ -236,7 +264,7 @@ def cmd_bench(args) -> int:
     else:
         urls = _SAMPLE_URLS
     stats = bench_inference(model, urls, args.reps)
-    print(json.dumps(stats))
+    print(_json(stats))
     return 0
 
 
@@ -248,7 +276,7 @@ def cmd_synth(args) -> int:
     writer.writerows(ds.records)
     with atomic_write(args.out) as fh:
         fh.write(text.getvalue().encode("utf-8"))
-    print(json.dumps({"written": len(ds), "path": args.out}))
+    print(_json({"written": len(ds), "path": args.out}))
     return 0
 
 
@@ -270,8 +298,8 @@ def make_handler(model: ModelGraph):
         def log_message(self, fmt, *args):  # route access logs to stderr
             _log("%s - %s" % (self.address_string(), fmt % args))
 
-        def _reply(self, code: int, payload: dict) -> None:
-            body = json.dumps(payload).encode()
+        def _reply(self, code: int, text: str) -> None:
+            body = text.encode()
             self.send_response(code)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
@@ -281,11 +309,11 @@ def make_handler(model: ModelGraph):
         def send_error(self, code, message=None, explain=None):
             """Every error reply, the handler's own and http.server's (414,
             431, 501, 505, ...), is {"error": message} JSON."""
-            self._reply(code, {"error": message or self.responses[code][0]})
+            self._reply(code, _json({"error": message or self.responses[code][0]}))
 
         def do_GET(self):
             if self.path == "/health":
-                self._reply(200, {"status": "ok", "model_loaded": True})
+                self._reply(200, _json({"status": "ok", "model_loaded": True}))
             else:
                 self.send_error(404, "not found")
 
@@ -314,14 +342,59 @@ def make_handler(model: ModelGraph):
                 self.send_error(400, f"bad request: {e}")
                 return
             try:
-                answer = _answer(model, url, vocab)
+                body = _json(_answer(model, url, vocab))
             except Exception:  # the server keeps running; the client gets a JSON reply
-                _log(traceback.format_exc())
+                sys.stderr.write(traceback.format_exc())
                 self.send_error(500, "internal error")
                 return
-            self._reply(200, answer)
+            self._reply(200, body)
 
     return Handler
+
+
+def _process_count() -> int:
+    """One serving process per CPU this process may run on (`taskset` sets
+    them); one where the platform cannot fork or tell them."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _fork_workers(server: _Server, n: int, pids: list) -> None:
+    """Fork n processes that serve on server's socket too, adding each pid
+    to pids as it starts."""
+    # Every process wakes on a new connection and only one accepts it: the
+    # others' accept raises BlockingIOError, which socketserver ignores,
+    # where a blocking accept would park them outside their serve loop.
+    server.socket.setblocking(False)
+    sys.stdout.flush()  # or a buffered line would be written once per process
+    sys.stderr.flush()
+    supervisor = os.getpid()
+    signal.pthread_sigmask(signal.SIG_BLOCK, STOP_SIGNALS)  # a stop waits until every pid is listed
+    try:
+        for _ in range(n):
+            pid = os.fork()
+            if pid == 0:
+                _work(server, supervisor)
+            pids.append(pid)
+    finally:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, STOP_SIGNALS)
+
+
+def _work(server: _Server, supervisor: int) -> None:
+    """A forked worker's life: serve until a stop signal or until the
+    supervisor is gone. It leaves through os._exit, never returning into the
+    code that forked it, so only the supervisor runs exit handlers."""
+    try:
+        for sig in STOP_SIGNALS:
+            signal.signal(sig, lambda *_: os._exit(0))
+        server.supervisor = supervisor
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, STOP_SIGNALS)
+        server.serve_forever()
+    except BaseException:
+        sys.stderr.write(traceback.format_exc())
+    finally:
+        os._exit(1)
 
 
 def cmd_serve(args) -> int:
@@ -332,12 +405,22 @@ def cmd_serve(args) -> int:
     except OSError as e:
         _log(f"serve: cannot bind {host}:{port}: {e}")
         return 1
-    _log(f"serving on {host}:{port}")
+    processes = _process_count()
+    _log(f"serving on {host}:{server.server_address[1]} ({processes} process{'es' * (processes > 1)})")
+    workers = []
     try:
+        for sig in STOP_SIGNALS:  # SIGTERM stops serve the way SIGINT does
+            signal.signal(sig, signal.default_int_handler)
+        if processes > 1:  # before any thread starts or any request is scored
+            _fork_workers(server, processes - 1, workers)
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        for pid in workers:
+            os.kill(pid, signal.SIGINT)
+        for pid in workers:
+            os.waitpid(pid, 0)
         server.server_close()
     return 0
 

@@ -705,3 +705,59 @@ def test_train_parser_defaults_are_the_dataclasses(monkeypatch):
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     cell = next(a for a in sub.choices["train"]._actions if a.dest == "cell")
     assert cell.choices == sorted(CELLS)
+
+
+def test_a_request_line_of_control_characters_logs_one_escaped_line(fixture_model_path, capsys):
+    with serving(load_model(fixture_model_path)) as base:
+        reply = raw_exchange(base, b"GET /\x1b[2Jx\rfake-line HTTP/1.0\r\n\r\n")
+    assert reply.split()[1] == b"400"
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "\\x1b[2Jx\\x0dfake-line" in line
+    assert not re.search("[\x00-\x1f\x7f-\x9f]", line)
+
+
+def test_a_path_with_a_newline_exits_1_with_one_stderr_line(tmp_path, capsys):
+    code, out = run_cli(["eval", "--model", str(tmp_path / "a\nb"), "--data", str(tmp_path / "c.csv")])
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and "a\\x0ab" in err, err
+
+
+@pytest.fixture
+def nan_model():
+    model, _ = confusion_fixture()
+    for tensor in model.params.values():
+        tensor[...] = float("nan")
+    return model
+
+
+@pytest.mark.parametrize("command", [["predict", "--url", "a"], ["eval", "--data", "corpus.csv"]])
+def test_a_model_of_nan_weights_exits_1_with_one_line(nan_model, command, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save_model(nan_model, "nan.pdm")  # save_model writes NaN weights
+    assert main(["synth", "--n", "20", "--out", "corpus.csv"]) == 0
+    capsys.readouterr()
+    code, out = run_cli([command[0], "--model", "nan.pdm", *command[1:]])
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert err.startswith("error: nan.pdm: tensor ") and len(err.splitlines()) == 1, err
+
+
+def test_a_nan_score_is_an_error_not_a_json_line(fixture_model_path, capsys, monkeypatch):
+    code, out = run_cli(["predict", "--model", fixture_model_path, "--url", "a"])
+    verdict, score = predict(load_model(fixture_model_path), "a", default_vocab())
+    assert (code, out) == (0, json.dumps({"url": "a", "score": score, "verdict": verdict}) + "\n")
+    monkeypatch.setattr(cli, "predict", lambda *args: ("legitimate", float("nan")))
+    code, out = run_cli(["predict", "--model", fixture_model_path, "--url", "a"])
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+
+
+def test_serve_answers_a_nan_score_with_500_and_keeps_serving(nan_model, capsys):
+    with serving(nan_model) as base:
+        for _ in range(2):
+            r = requests.post(base + "/check", json={"url": "a"}, timeout=5)
+            assert r.status_code == 500 and r.json() == {"error": "internal error"}
+        assert requests.get(base + "/health", timeout=5).status_code == 200
+    assert "Exception occurred during processing" not in capsys.readouterr().err
