@@ -16,8 +16,6 @@ import sys
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-import numpy as np
-
 from .codec import MAX_LEN, Vocab, default_vocab
 from .data import CSV_COLUMNS, load_csv, split, text_lines
 from .errors import ModelFormatError, NumericError, PhishDefenseError
@@ -90,6 +88,14 @@ def _in_range(kind, low, high=float("inf")):
     return parse
 
 
+def _path(text: str) -> str:
+    """argparse type: a file system path, which cannot hold a NUL (the
+    operating system's calls take none)."""
+    if "\0" in text:
+        raise argparse.ArgumentTypeError("a path cannot hold a NUL character")
+    return text
+
+
 def _address(text: str):
     """argparse type: HOST:PORT as (host, port); an empty host is 127.0.0.1."""
     host, _, port = text.rpartition(":")
@@ -108,23 +114,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     scored = argparse.ArgumentParser(add_help=False)  # a model that answers at a threshold
-    scored.add_argument("--model", required=True)
+    scored.add_argument("--model", type=_path, required=True)
     scored.add_argument("--threshold", type=probability,
                         help="phishing above this score (default: the model's own)")
 
     p = sub.add_parser("train", help="train a model on a CSV or synthetic corpus")
     p.set_defaults(run=cmd_train)
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--data", help="url,label CSV path")
+    source.add_argument("--data", type=_path, help="url,label CSV path")
     source.add_argument("--synthetic", type=_in_range(int, MIN_CORPUS),
                         help="generate a synthetic corpus of N URLs")
     p.add_argument("--epochs", type=_in_range(int, 0), default=TrainConfig.epochs)
     p.add_argument("--batch", type=positive, default=TrainConfig.batch_size)
     p.add_argument("--lr", type=_in_range(float, MIN_LR), default=TrainConfig.initial_lr)
     p.add_argument("--threshold", type=probability, default=ModelGraph.threshold)
-    p.add_argument("--out", required=True, help="output model path (.pdm)")
-    p.add_argument("--history", help="history JSONL path (default: <out>.history.jsonl)")
-    p.add_argument("--workdir", help="checkpoint directory; a rerun resumes the run it holds")
+    p.add_argument("--out", type=_path, required=True, help="output model path (.pdm)")
+    p.add_argument("--history", type=_path, help="history JSONL path (default: <out>.history.jsonl)")
+    p.add_argument("--workdir", type=_path, help="checkpoint directory; a rerun resumes the run it holds")
     p.add_argument("--dedup", action="store_true")
     p.add_argument("--stratify", action="store_true")
     p.add_argument("--cell", choices=sorted(CELLS), default=ModelConfig.cell_kind)
@@ -135,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", parents=[scored], help="evaluate a model on a labeled CSV")
     p.set_defaults(run=cmd_eval)
-    p.add_argument("--data", required=True)
+    p.add_argument("--data", type=_path, required=True)
 
     p = sub.add_parser("predict", parents=[scored], help="score one URL or a stream of URLs")
     p.set_defaults(run=cmd_predict)
@@ -145,8 +151,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="single-URL latency statistics")
     p.set_defaults(run=cmd_bench)
-    p.add_argument("--model", required=True)
-    p.add_argument("--urls", help="file with one URL per line (default: built-in sample)")
+    p.add_argument("--model", type=_path, required=True)
+    p.add_argument("--urls", type=_path, help="file with one URL per line (default: built-in sample)")
     p.add_argument("--reps", type=positive, default=100)
 
     p = sub.add_parser("synth", help="write a synthetic corpus CSV")
@@ -154,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_in_range(int, MIN_CORPUS), required=True)
     p.add_argument("--fraction", type=probability, default=0.5)
     p.add_argument("--seed", **seed)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_path, required=True)
 
     p = sub.add_parser("serve", parents=[scored], help="HTTP scoring endpoint")
     p.set_defaults(run=cmd_serve)
@@ -164,14 +170,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _scored_model(path: str, threshold: float | None = None) -> ModelGraph:
     """The model at path, answering at threshold when one is given; refused
-    unless its embedding has a row for every id the URL codec gives."""
+    unless its embedding has a row for every id the URL codec gives (and,
+    by load_model, unless every weight is finite)."""
     model = load_model(path)
     have, need = model.config.vocab_size, default_vocab().size
     if have < need:
         raise ModelFormatError(f"{path}: vocabulary of {have} ids, the URL codec needs {need}")
-    for name, tensor in model.params.items():  # a NaN weight would call every URL legitimate
-        if not np.isfinite(tensor).all():
-            raise ModelFormatError(f"{path}: tensor {name} holds a value that is not finite")
     if threshold is not None:
         model.threshold = threshold
     return model

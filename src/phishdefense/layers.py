@@ -7,7 +7,14 @@ backward scan (`_bptt`); a cell contributes only its gate equations
 Gate layout: a cell keeps W (d, G*h), U (h, G*h) and b (G*h,), one h-wide
 block per gate, side by side in the PDM1 order -- "fico" for the LSTM
 (forget, input, candidate, output) and "zrh" for the GRU (update, reset,
-candidate).
+candidate). A step takes its pre-activations gate-major, as a (G, n, h)
+array whose a[k] is gate k for the step's n rows; `U_gates` is the (G, h,
+h) view of U that multiplies gate by gate. Where that array is a view of
+packed (n, G*h) rows (a slab of the scan's packed buffer, or any single
+row) the step adds the recurrent term with one GEMM over U, as a row-major
+layout would; otherwise it runs one GEMM per gate block. The two give the
+same bits for 2 or more rows on the BLAS builds the tests pin
+(tests/test_layers.py checks it), and a single row is always packed.
 
 Packed variable lengths: the scan runs each row only over its own length.
 Rows are stably sorted longest first, so step t works on a prefix of n_t
@@ -19,11 +26,13 @@ a row's final state is read at its own last step and returned in the
 caller's row order. Without lengths every row runs every step.
 
 Input projection: `_scan` computes x W + b for all packed rows in one GEMM
-before the time loop; each step then adds the recurrent term, one GEMM
-(two for the GRU, whose reset gate multiplies h_prev before U_h), and
-applies the gate activations in place, so the projection buffer ends up
-holding the activations. The backward scan walks the same prefixes,
-writes the gradient at the pre-activations into one packed buffer and
+before the time loop and hands step t the gate-major view of its slab;
+each step then adds the recurrent term, one GEMM (two for the GRU, whose
+reset gate multiplies h_prev before U_h), and applies the gate
+activations in place, so the projection buffer ends up holding the
+activations. The backward scan walks the same prefixes, writes the
+gradient at the pre-activations into one packed buffer, again through
+gate-major views, and
 takes dW, db and the input gradients from it after the loop, one GEMM or
 sum each; only dU accumulates per step.
 
@@ -40,10 +49,12 @@ input. The backward scan does not modify it.
 
 Forward-only scoring: `infer_scan` runs the same cell steps over the same
 sorted prefixes but keeps no cache. It folds the embedding into the input
-projection, T = embed W + b (vocab, G*h), once per call; step t looks its
-rows' projections up in T into one reused (batch, G*h) buffer, and the
-cell updates one (S, batch, h) state in place (a step's out may be its
-prev). Memory is O(vocab + batch) rows instead of O(sum(lens)).
+projection, T = embed W + b, once per call and lays it out gate-major as
+(G, vocab, h); step t looks its rows' projections up in T into one reused
+contiguous (G, n_t, h) buffer, so every gate op of the step runs on a
+contiguous block, and the cell updates one (S, batch, h) state in place
+(a step's out may be its prev). Memory is O(vocab + batch) rows instead of
+O(sum(lens)).
 """
 
 from __future__ import annotations
@@ -107,6 +118,25 @@ class CellParams:
                 for kind in "WUb" for k, g in enumerate(self.GATES)}
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """The (n, k*h) row-major form of a gate-major (k, n, h) array: a view
+    when a is a view of packed rows, as in the backward scan."""
+    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+
+def _add_recurrent(a: np.ndarray, x: np.ndarray, U: np.ndarray) -> None:
+    """a += x U for the gate-major (k, n, h) pre-activations a of k gates,
+    whose blocks of U are U (h, k*h): one GEMM over U where a is a view of
+    packed rows, else one per gate, through U's (k, h, h) view U_gates."""
+    rows = a.transpose(1, 0, 2)
+    if rows.flags.c_contiguous:
+        rows = rows.reshape(len(x), -1)
+        rows += x @ U
+    else:
+        U_gates = U.reshape(len(U), len(a), -1).transpose(1, 0, 2)
+        a += np.matmul(x, U_gates)
+
+
 class LstmParams(CellParams):
     """Forget, input, candidate and output gates; the state is (h, c)."""
 
@@ -114,16 +144,15 @@ class LstmParams(CellParams):
     STATES = 2
 
     def step(self, a: np.ndarray, prev: np.ndarray, out: np.ndarray) -> None:
-        """One step. a is x W + b (batch, 4h) and is overwritten with the gate
-        activations; prev and out are (2, batch, h) holding (h, c).
+        """One step. a is x W + b gate-major (4, batch, h) and is overwritten
+        with the gate activations; prev and out are (2, batch, h) holding (h, c).
 
         The cell update is the standard additive form c = f*c_prev + i*c_tilde
         (no outer squashing), so cell memory is unbounded and the carry
         property f=1, i=0 => c_t = c_prev holds exactly.
         """
-        h = self.hidden_dim
-        a += prev[0] @ self.U
-        fi, o = a[:, : 2 * h], a[:, 3 * h :]
+        _add_recurrent(a, prev[0], self.U)
+        fi, o = a[:2], a[3]
         # sigmoid(x) = 0.5 * (1 + tanh(x / 2)) on f, i and o, tanh on g: one tanh pass
         fi *= 0.5
         o *= 0.5
@@ -131,13 +160,14 @@ class LstmParams(CellParams):
         for s in (fi, o):
             s += 1.0
             s *= 0.5
-        f, i, g = fi[:, :h], fi[:, h:], a[:, 2 * h : 3 * h]
+        f, i, g = a[0], a[1], a[2]
         # out may be prev: h_prev is spent, and c is updated elementwise
-        np.multiply(i, g, out=out[0])
-        np.multiply(f, prev[1], out=out[1])
-        out[1] += out[0]
-        np.tanh(out[1], out=out[0])
-        out[0] *= o
+        h, c = out[0], out[1]
+        np.multiply(i, g, out=h)
+        np.multiply(f, prev[1], out=c)
+        c += h
+        np.tanh(c, out=h)
+        h *= o
 
     def step_grad(
         self,
@@ -149,18 +179,19 @@ class LstmParams(CellParams):
         dU: np.ndarray,
     ) -> None:
         """Backward of step given d = (dh, dc) at new: writes the gradient at
-        the pre-activations (batch, 4h) into dpre, overwrites d with (dh, dc)
-        at prev and adds into dU."""
-        f, i, g, o = np.split(a, 4, axis=1)
-        df, di, dg, do = np.split(dpre, 4, axis=1)
+        the pre-activations, gate-major (4, batch, h) like a, into dpre,
+        overwrites d with (dh, dc) at prev and adds into dU."""
+        f, i, g, o = a
+        df, di, dg, do = dpre
         tanh_c = np.tanh(new[1])
         dc = d[1] + d[0] * o * (1.0 - tanh_c**2)
         df[:] = dc * prev[1] * f * (1.0 - f)
         di[:] = dc * g * i * (1.0 - i)
         dg[:] = dc * i * (1.0 - g**2)
         do[:] = d[0] * tanh_c * o * (1.0 - o)
-        dU += prev[0].T @ dpre
-        d[0] = dpre @ self.U.T
+        dpre_rows = _rows(dpre)
+        dU += prev[0].T @ dpre_rows
+        d[0] = dpre_rows @ self.U.T
         d[1] = dc * f
 
 
@@ -175,25 +206,26 @@ class GruParams(CellParams):
     STATES = 1
 
     def step(self, a: np.ndarray, prev: np.ndarray, out: np.ndarray) -> None:
-        """One step. a is x W + b (batch, 3h) and is overwritten with the gate
-        activations; prev and out are (1, batch, h) holding h."""
+        """One step. a is x W + b gate-major (3, batch, h) and is overwritten
+        with the gate activations; prev and out are (1, batch, h) holding h."""
         n = self.hidden_dim
         h_prev = prev[0]
-        zr, g = a[:, : 2 * n], a[:, 2 * n :]
-        zr += h_prev @ self.U[:, : 2 * n]
+        zr, g = a[:2], a[2]
+        _add_recurrent(zr, h_prev, self.U[:, : 2 * n])
         zr *= 0.5  # sigmoid(x) = 0.5 * (1 + tanh(x / 2))
         np.tanh(zr, out=zr)
         zr += 1.0
         zr *= 0.5
-        z, r = zr[:, :n], zr[:, n:]
+        z, r = zr[0], zr[1]
         rh = r * h_prev
         g += rh @ self.U[:, 2 * n :]
         np.tanh(g, out=g)
         # out may be prev: z * h_prev is taken before out is written
         zh = np.multiply(z, h_prev, out=rh)
-        np.subtract(1.0, z, out=out[0])
-        out[0] *= g
-        out[0] += zh
+        h = out[0]
+        np.subtract(1.0, z, out=h)
+        h *= g
+        h += zh
 
     def step_grad(
         self,
@@ -205,16 +237,17 @@ class GruParams(CellParams):
         dU: np.ndarray,
     ) -> None:
         """Backward of step given d = (dh,) at new: writes the gradient at the
-        pre-activations (batch, 3h) into dpre, overwrites d with (dh,) at
-        prev and adds into dU."""
+        pre-activations, gate-major (3, batch, h) like a, into dpre,
+        overwrites d with (dh,) at prev and adds into dU."""
         n = self.hidden_dim
-        z, r, g = np.split(a, 3, axis=1)
-        dzr, dg = dpre[:, : 2 * n], dpre[:, 2 * n :]
+        z, r, g = a
+        dz, dr, dg = dpre
         h_prev, dh = prev[0], d[0]
         dg[:] = dh * (1.0 - z) * (1.0 - g**2)
         d_rh = dg @ self.U[:, 2 * n :].T
-        dzr[:, :n] = dh * (h_prev - g) * z * (1.0 - z)
-        dzr[:, n:] = d_rh * h_prev * r * (1.0 - r)
+        dz[:] = dh * (h_prev - g) * z * (1.0 - z)
+        dr[:] = d_rh * h_prev * r * (1.0 - r)
+        dzr = _rows(dpre[:2])
         dU[:, : 2 * n] += h_prev.T @ dzr
         dU[:, 2 * n :] += (r * h_prev).T @ dg
         d[0] = dh * z + d_rh * r + dzr @ self.U[:, : 2 * n].T
@@ -236,6 +269,11 @@ def _length_order(
     order = np.argsort(-lens, kind="stable")
     lens = lens[order]
     return order, lens, np.arange(lens[0])[:, None] < lens[None, :]
+
+
+def _gate_major(rows: np.ndarray, h: int) -> np.ndarray:
+    """The (G, n, h) gate-major view of packed (n, G*h) rows."""
+    return rows.reshape(len(rows), rows.shape[1] // h, h).transpose(1, 0, 2)
 
 
 def _scan(
@@ -268,9 +306,10 @@ def _scan(
     # state block t starts at bounds[t]: block 0 holds the b initial states,
     # block t + 1 the n_t outputs of step t, whose packed rows start at bounds[t + 1] - b
     bounds = [0, *accumulate(sizes, initial=b)]
+    gates = _gate_major(acts, h)
     for t, n in enumerate(sizes):
         prev, out = bounds[t], bounds[t + 1]
-        p.step(acts[out - b : out - b + n], states[:, prev : prev + n], states[:, out : out + n])
+        p.step(gates[:, out - b : out - b + n], states[:, prev : prev + n], states[:, out : out + n])
     # each row's state after its own last step, back in caller order
     final = np.empty((p.STATES, b, h))
     final[:, order] = states[:, np.array(bounds[:-1])[lens] + np.arange(b)]
@@ -297,14 +336,15 @@ def _bptt(cache: Cache, d_h_final: np.ndarray, who: str) -> Tuple[ParamSet, np.n
     dpre = np.empty_like(acts)
     dU = np.zeros_like(p.U)
     bounds = [0, *accumulate(sizes, initial=b)]
+    gates, dgates = _gate_major(acts, p.hidden_dim), _gate_major(dpre, p.hidden_dim)
     for t in range(len(sizes) - 1, -1, -1):
         n, prev, out = sizes[t], bounds[t], bounds[t + 1]
         p.step_grad(
-            acts[out - b : out - b + n],
+            gates[:, out - b : out - b + n],
             states[:, prev : prev + n],
             states[:, out : out + n],
             ds[:, :n],
-            dpre[out - b : out - b + n],
+            dgates[:, out - b : out - b + n],
             dU,
         )
     dxs = np.zeros((b * width, p.input_dim))
@@ -353,10 +393,11 @@ def infer_scan(
     (batch, h) in the caller's row order.
 
     Keeps nothing for a backward pass: the input projection of every token
-    is a row of the folded table embed W + b, which step t looks up into
-    one reused (batch, G*h) buffer, and the step updates one (S, batch, h)
-    state in place on its live prefix of rows (rows sorted longest first,
-    as in the packed scan).
+    is a row of the folded table embed W + b, laid out gate-major (G,
+    vocab, h); step t looks its n_t rows up into one reused contiguous (G,
+    n_t, h) buffer, and the step updates one (S, batch, h) state in place
+    on its live prefix of rows (rows sorted longest first, as in the packed
+    scan).
     """
     ids = _checked_ids(embed, ids)
     if ids.ndim != 2 or ids.shape[1] == 0:
@@ -364,20 +405,24 @@ def infer_scan(
     if embed.shape[1] != p.input_dim:
         raise ShapeError(f"infer_scan: embed dim {embed.shape[1]} != expected {p.input_dim}")
     b, width = ids.shape
+    h = p.hidden_dim
     order, _, live = _length_order(lens, b, width, "infer_scan")
     sizes = live.sum(axis=1).tolist()
     by_step = np.ascontiguousarray(ids[order].T)  # step t reads row t
     table = embed @ p.W
     table += p.b
-    a = np.empty((b, table.shape[1]))
-    state = np.zeros((p.STATES, b, p.hidden_dim))
+    table = np.ascontiguousarray(_gate_major(table, h))
+    n_gates = len(table)
+    buf = np.empty(n_gates * b * h)
+    state = np.zeros((p.STATES, b, h))
     for t, n in enumerate(sizes):
+        a = buf[: n_gates * n * h].reshape(n_gates, n, h)
         # mode="clip" skips take's buffered range check; _checked_ids did it
-        np.take(table, by_step[t, :n], axis=0, out=a[:n], mode="clip")
-        p.step(a[:n], state[:, :n], state[:, :n])
-    h = np.empty((b, p.hidden_dim))
-    h[order] = state[0]
-    return h
+        np.take(table, by_step[t, :n], axis=1, out=a, mode="clip")
+        p.step(a, state[:, :n], state[:, :n])
+    out = np.empty((b, h))
+    out[order] = state[0]
+    return out
 
 
 def _checked_ids(table: np.ndarray, ids: np.ndarray) -> np.ndarray:

@@ -100,14 +100,24 @@ def atomic_write(path: str) -> Iterator[BinaryIO]:
         raise
 
 
+def _check_finite(path: str, name: str, tensor: np.ndarray) -> None:
+    # a NaN weight would score every URL NaN, and NaN > threshold calls it legitimate
+    if not np.isfinite(tensor).all():
+        raise ModelFormatError(f"{path}: tensor {name} holds a value that is not finite")
+
+
 def save_model(m: ModelGraph, path: str) -> int:
-    """Write the model atomically; returns bytes written."""
+    """Write the model atomically; returns bytes written. A weight that is
+    not finite in float32 (NaN, or beyond its range) is refused, as
+    load_model would refuse the file."""
     _check_threshold(path, m.threshold)
     header = _pack_header(m.config, m.threshold)
-    payload = b"".join(
-        np.ascontiguousarray(m.params[name], dtype="<f4").tobytes()
-        for name in tensor_order(m.config)
-    )
+    tensors = []
+    for name in tensor_order(m.config):
+        with np.errstate(over="ignore"):  # beyond float32's range is inf: refused next
+            tensors.append(np.ascontiguousarray(m.params[name], dtype="<f4"))
+        _check_finite(path, name, tensors[-1])
+    payload = b"".join(t.tobytes() for t in tensors)
     body = header + payload
     blob = (
         MAGIC
@@ -124,7 +134,8 @@ def save_model(m: ModelGraph, path: str) -> int:
 
 
 def load_model(path: str) -> ModelGraph:
-    """Read a PDM1 file back into a graph (weights widened to f64)."""
+    """Read a PDM1 file back into a graph (weights widened to f64). A file
+    whose CRC holds but whose weights are not all finite is refused."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -176,6 +187,7 @@ def load_model(path: str) -> ModelGraph:
     for name, shape in shapes:
         count = math.prod(shape)
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+        _check_finite(path, name, arr)
         params[name] = arr.astype(np.float64).reshape(shape)
         offset += 4 * count
     return ModelGraph(config=cfg, params=params, threshold=float(threshold))

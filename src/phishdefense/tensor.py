@@ -72,7 +72,10 @@ class AdamState:
 
 
 def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> ParamSet:
-    """One Adam update with bias correction; mutates state, returns new params."""
+    """One Adam update with bias correction; mutates state, returns new params.
+
+    NumericError if a gradient is not finite, or if the update leaves a
+    weight that is not (an infinite rate, say)."""
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for parameter '{name}'")
@@ -94,6 +97,10 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> ParamSet:
         v[:] = b2 * v + (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
-        out[name] = p - state.alpha * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        # an infinite rate times a zero moment is NaN: refused below, not warned of
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[name] = p - state.alpha * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        if not np.all(np.isfinite(out[name])):
+            raise NumericError(f"the update left a non-finite weight in parameter '{name}'")
     return out
 

@@ -190,12 +190,14 @@ def _load_checkpoint(path: str, m: ModelGraph, run: Dict[str, Dict]):
                    for k in sorted(want.keys() | saved.keys()) if want.get(k) != saved.get(k)]
     if differ:
         raise ConfigError(f"{path}: checkpoint is from a different run: " + ", ".join(differ))
-    # each group must hold exactly the model's parameters, float64 of their shapes
+    # each group must hold exactly the model's parameters, finite float64 of
+    # their shapes: a NaN weight or moment would train on as NaN
     shapes = {k: v.shape for k, v in m.params.items()}
     groups = {}
     for part in _GROUPS:
         groups[part] = {k[len(part) + 1:]: v for k, v in tensors.items() if k.startswith(part + ".")}
-        got = {k: v.shape for k, v in groups[part].items() if v.dtype == np.float64}
+        got = {k: v.shape for k, v in groups[part].items()
+               if v.dtype == np.float64 and np.isfinite(v).all()}
         bad = [f"{part}.{k}" for k in sorted(shapes.keys() | got.keys()) if shapes.get(k) != got.get(k)]
         if bad:
             raise ModelFormatError(

@@ -112,24 +112,27 @@ def _step_inputs(p, x_t, state, who):
         raise ShapeError(
             f"{who}: state dims {[s.shape for s in state]} != hidden {p.hidden_dim}"
         )
-    return x_t @ p.W + p.b, np.stack(np.broadcast_arrays(*state))
+    # the step takes its pre-activations gate-major, as the scan hands them
+    rows = x_t @ p.W + p.b
+    gates = rows.reshape(len(rows), -1, p.hidden_dim).transpose(1, 0, 2)
+    return gates, np.stack(np.broadcast_arrays(*state))
 
 
 def lstm_step(p, x_t, h_prev, c_prev):
     """One LSTM step through the cell the scan runs; returns (h, c, gates)."""
     a, prev = _step_inputs(p, x_t, (h_prev, c_prev), "lstm_step")
-    out = np.empty((2, a.shape[0], p.hidden_dim))
+    out = np.empty((2, a.shape[1], p.hidden_dim))
     p.step(a, prev, out)
-    f, i, c_tilde, o = np.split(a, 4, axis=1)
+    f, i, c_tilde, o = a
     return out[0], out[1], {"f": f, "i": i, "c_tilde": c_tilde, "o": o, "c": out[1], "h": out[0]}
 
 
 def gru_step(p, x_t, h_prev):
     """One GRU step through the cell the scan runs; returns (h, gates)."""
     a, prev = _step_inputs(p, x_t, (h_prev,), "gru_step")
-    out = np.empty((1, a.shape[0], p.hidden_dim))
+    out = np.empty((1, a.shape[1], p.hidden_dim))
     p.step(a, prev, out)
-    z, r, h_tilde = np.split(a, 3, axis=1)
+    z, r, h_tilde = a
     return out[0], {"z": z, "r": r, "h_tilde": h_tilde, "h": out[0]}
 
 
@@ -195,6 +198,15 @@ def patch_header(blob: bytes, field: int, value) -> bytes:
     fields = list(_FIXED_HEADER.unpack_from(body))
     fields[field] = value
     _FIXED_HEADER.pack_into(body, 0, *fields)
+    return blob[:12] + bytes(body) + struct.pack("<I", zlib.crc32(body))
+
+
+def patch_payload(blob: bytes, index: int, value: float) -> bytes:
+    """A PDM1 file's bytes with float32 number index of its payload set to
+    value, and its CRC recomputed."""
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    body = bytearray(blob[12:-4])
+    struct.pack_into("<f", body, header_len + 4 * index, value)
     return blob[:12] + bytes(body) + struct.pack("<I", zlib.crc32(body))
 
 

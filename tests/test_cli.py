@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
 import socket
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 import requests
 
-from conftest import confusion_fixture, labels, read_until_close
+from conftest import confusion_fixture, labels, patch_payload, read_until_close
 from phishdefense import cli
 from phishdefense.cli import main, make_handler
 from phishdefense.codec import default_vocab
@@ -140,6 +141,16 @@ class TestTrainCommand:
         assert code == 1 and stdout == ""
         assert len(err.splitlines()) == 1 and "initial_lr 0.001 != 0.01" in err
         assert (tmp_path / "work" / "train_state.npz").read_bytes() == state
+
+    def test_an_infinite_rate_exits_1_with_one_line_and_writes_no_model(self, tmp_path, capsys):
+        # an infinite step turns every weight whose gradient is 0 into NaN
+        out = tmp_path / "m.pdm"
+        code, stdout = run_cli(["train", "--synthetic", "20", "--epochs", "1", "--hidden", "4",
+                                "--embed", "4", "--lr", "inf", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert (code, stdout) == (1, "")
+        assert err == "error: epoch 0 batch 0: the update left a non-finite weight in parameter 'embed'\n"
+        assert not out.exists()
 
     def test_two_record_csv_exits_1_with_one_line(self, tmp_path, capsys):
         data = tmp_path / "two.csv"
@@ -607,6 +618,27 @@ class TestUsageErrors:
         assert len(err.splitlines()) == 1 and "argument --seed:" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["predict", "--model", "a\0b", "--url", "x"], "--model"),
+        (["eval", "--model", "m.pdm", "--data", "c\0.csv"], "--data"),
+        (["bench", "--model", "m.pdm", "--urls", "\0"], "--urls"),
+        (["synth", "--n", "20", "--out", "x\0.csv"], "--out"),
+        (["train", "--data", "\0", "--out", "m.pdm"], "--data"),
+        (["train", "--synthetic", "20", "--out", "x\0.pdm"], "--out"),
+        (["train", "--synthetic", "20", "--out", "m.pdm", "--history", "h\0"], "--history"),
+        (["train", "--synthetic", "20", "--out", "m.pdm", "--workdir", "w\0"], "--workdir"),
+        (["serve", "--model", "\0m.pdm"], "--model"),
+    ])
+    def test_a_path_with_a_nul_exits_2_with_one_line(self, argv, flag, tmp_path, capsys, monkeypatch):
+        # the operating system takes no path with a NUL: open() would raise ValueError
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert len(err.splitlines()) == 1 and f"argument {flag}: a path cannot hold a NUL" in err, err
+        assert os.listdir(tmp_path) == []
+
     def test_resume_flag_is_gone(self, tmp_path, capsys):
         work, out = tmp_path / "work", tmp_path / "m.pdm"
         with pytest.raises(SystemExit) as exc:
@@ -732,9 +764,11 @@ def nan_model():
 
 
 @pytest.mark.parametrize("command", [["predict", "--url", "a"], ["eval", "--data", "corpus.csv"]])
-def test_a_model_of_nan_weights_exits_1_with_one_line(nan_model, command, tmp_path, capsys, monkeypatch):
+def test_a_model_of_nan_weights_exits_1_with_one_line(fixture_model_path, command, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    save_model(nan_model, "nan.pdm")  # save_model writes NaN weights
+    # save_model refuses NaN weights: write one into a saved file, CRC and all
+    blob = Path(fixture_model_path).read_bytes()
+    Path("nan.pdm").write_bytes(patch_payload(blob, 0, float("nan")))
     assert main(["synth", "--n", "20", "--out", "corpus.csv"]) == 0
     capsys.readouterr()
     code, out = run_cli([command[0], "--model", "nan.pdm", *command[1:]])

@@ -8,6 +8,7 @@ import argparse
 import io
 import json
 import socket
+import struct
 import sys
 import threading
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import confusion_fixture, patch_header, read_until_close
+from conftest import confusion_fixture, patch_header, patch_payload, read_until_close
 from phishdefense import cli
 from phishdefense.cli import main
 from phishdefense.codec import default_vocab
@@ -30,6 +31,7 @@ MARK = b"\xef\xbb\xbf"
 CELLS = st.sampled_from(["gru", "lstm"])
 UINT32 = st.integers(0, 2**32 - 1)
 FLOAT32 = st.floats(width=32)  # NaN and both infinities included
+NOT_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 # one strategy per fixed header field, in the order store._FIXED_HEADER packs them:
 # cell_kind, vocab_size, embed_dim, hidden_dim, max_len, dropout, threshold, n_dense
 HEADER_FIELDS = [st.integers(0, 255), UINT32, UINT32, UINT32, UINT32, FLOAT32, FLOAT32, UINT32]
@@ -84,7 +86,7 @@ def predict_on(model_bytes, tmp_path):
 
 
 @FUZZ
-@given(cell=CELLS, how=st.sampled_from(["field", "truncate", "random", "random header"]),
+@given(cell=CELLS, how=st.sampled_from(["field", "truncate", "random", "random header", "payload"]),
        data=st.data())
 def test_predict_on_a_mangled_model_file_exits_0_or_1(tiny_files, tmp_path, cell, how, data):
     blob = tiny_files[cell]
@@ -93,9 +95,14 @@ def test_predict_on_a_mangled_model_file_exits_0_or_1(tiny_files, tmp_path, cell
         blob = patch_header(blob, field, data.draw(HEADER_FIELDS[field], label="value"))
     elif how == "truncate":
         blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    elif how == "payload":  # a weight that is not finite, under a valid CRC
+        (header_len,) = struct.unpack_from("<I", blob, 8)
+        at = data.draw(st.integers(0, (len(blob) - 16 - header_len) // 4 - 1), label="float")
+        blob = patch_payload(blob, at, data.draw(NOT_FINITE, label="value"))
     else:  # a random header keeps the magic, version and header length
         blob = blob[:12] * (how == "random header") + data.draw(st.binary(max_size=400))
-    predict_on(blob, tmp_path)
+    code = predict_on(blob, tmp_path)
+    assert how != "payload" or code == 1
 
 
 @FUZZ
@@ -281,6 +288,15 @@ def with_tensor_cast(blob, data):
     return checkpoint_bytes(arrays)
 
 
+def with_nonfinite_tensor(blob, data):
+    """blob, a checkpoint, with one value of one tensor NaN or infinite."""
+    arrays = checkpoint_arrays(blob)
+    name = data.draw(st.sampled_from(sorted(set(arrays) - {"__meta__"})), label="tensor")
+    at = data.draw(st.integers(0, arrays[name].size - 1), label="at")
+    arrays[name].flat[at] = data.draw(NOT_FINITE, label="value")
+    return checkpoint_bytes(arrays)
+
+
 def with_meta_edit(blob, data):
     """blob, a checkpoint, with one value of its meta JSON replaced or deleted."""
     arrays = checkpoint_arrays(blob)
@@ -302,7 +318,7 @@ def with_meta_edit(blob, data):
 
 
 @settings(FUZZ, max_examples=40)
-@given(how=st.sampled_from(["random", "truncate", "flip", "meta", "dtype"]), data=st.data())
+@given(how=st.sampled_from(["random", "truncate", "flip", "meta", "dtype", "nonfinite"]), data=st.data())
 def test_a_rerun_on_a_mangled_checkpoint_exits_0_or_1(checkpoint, tmp_path_factory, how, data):
     blob = checkpoint
     if how == "random":
@@ -314,12 +330,15 @@ def test_a_rerun_on_a_mangled_checkpoint_exits_0_or_1(checkpoint, tmp_path_facto
         blob = blob[:at] + bytes([blob[at] ^ data.draw(st.integers(1, 255), label="xor")]) + blob[at + 1:]
     elif how == "meta":
         blob = with_meta_edit(blob, data)
+    elif how == "nonfinite":
+        blob = with_nonfinite_tensor(blob, data)
     else:
         blob = with_tensor_cast(blob, data)
     work = tmp_path_factory.mktemp("rerun")
     (work / "train_state.npz").write_bytes(blob)
     code, out, err = run([*TRAIN_ARGS, "--workdir", str(work), "--out", str(work / "m.pdm")])
     assert code in (0, 1)
+    assert how != "nonfinite" or code == 1
     if code == 0:
         assert json.loads(out)["model_path"] == str(work / "m.pdm")
     else:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import finite_diff_grad, gate, gru_step, lstm_step, oracle_gru_step, oracle_lstm_step
 from phishdefense.errors import ShapeError
 from phishdefense.layers import (
     GruParams,
     LstmParams,
+    _scan,
     dense_backward,
     dense_forward,
     dropout,
@@ -341,7 +343,7 @@ class TestInferScan:
     def test_step_in_place_equals_fresh_out(self, params, rng):
         # infer_scan updates its state in place: out is prev
         p = params.init(3, 5, seed=21)
-        a = rng.standard_normal((4, 3)) @ p.W + p.b
+        a = rng.standard_normal((len(params.GATES), 4, 5))  # gate-major, as infer_scan's buffer
         prev = rng.standard_normal((params.STATES, 4, 5))
         a_fresh, fresh = a.copy(), np.empty_like(prev)
         p.step(a_fresh, prev.copy(), fresh)
@@ -356,6 +358,48 @@ class TestInferScan:
         for bad in (5, -1):  # a bare np.take would wrap -1 to the last row
             with pytest.raises(IndexError):
                 infer_scan(p, embed, np.array([[1, bad]]), np.array([2]))
+
+
+GATE_MAJOR = settings(max_examples=150, deadline=None)
+CELL_KINDS = st.sampled_from([LstmParams, GruParams])
+WIDTHS = st.integers(1, 6)
+
+
+@GATE_MAJOR
+@given(params=CELL_KINDS, embed=WIDTHS, hidden=WIDTHS, seed=st.integers(0, 10**6),
+       lens=st.lists(st.integers(0, 9), min_size=1, max_size=6))
+def test_infer_scan_ends_in_the_packed_scan_state(params, embed, hidden, seed, lens):
+    # infer_scan steps on contiguous gate-major blocks, _scan on views of its
+    # packed rows; the final h must agree bit for bit
+    rng = np.random.default_rng(seed)
+    p = params.init(embed, hidden, seed=seed)
+    p.b[:] = rng.standard_normal(p.b.shape)
+    table = rng.standard_normal((7, embed))
+    lens = np.array(lens)
+    ids = rng.integers(0, len(table), (len(lens), max(1, lens.max())))
+    got = infer_scan(p, table, ids, lens)
+    (want, *_), _ = _scan(p, table[ids], lens, (None,) * params.STATES, "test")
+    if lens.sum() == 1:  # a one-row projection runs another BLAS kernel than the table's
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+@GATE_MAJOR
+@given(params=CELL_KINDS, hidden=WIDTHS, n=st.integers(1, 6), seed=st.integers(0, 10**6))
+def test_a_step_on_a_packed_view_equals_the_step_on_a_contiguous_copy(params, hidden, n, seed):
+    rng = np.random.default_rng(seed)
+    p = params.init(3, hidden, seed=seed)
+    g = len(params.GATES)
+    # n rows of a packed buffer with a row on either side, seen gate-major
+    view = rng.standard_normal((n + 2, g * hidden)).reshape(n + 2, g, hidden).transpose(1, 0, 2)[:, 1:-1]
+    copy = view.copy()  # ascontiguousarray would return a one-row view itself
+    prev = rng.standard_normal((params.STATES, n, hidden))
+    outs = np.empty((2, *prev.shape))
+    p.step(view, prev, outs[0])
+    p.step(copy, prev, outs[1])
+    np.testing.assert_array_equal(outs[0], outs[1])
+    np.testing.assert_array_equal(view, copy)
 
 
 class TestEmbedding:

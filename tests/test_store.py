@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import param_count, patch_header
+from conftest import param_count, patch_header, patch_payload
 from phishdefense.codec import MAX_LEN, default_vocab
 from phishdefense.errors import (
     ModelCorruptionError,
@@ -78,6 +78,16 @@ class TestSaveModel:
         assert target.read_bytes() == b"new"
         assert list(tmp_path.iterdir()) == [target]
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300])
+    def test_a_weight_not_finite_in_float32_is_refused(self, tmp_path, value):
+        # 1e300 is finite in float64 and inf once narrowed to float32
+        m = small_model("lstm")
+        m.params["cell.U_o"][1, 2] = value
+        path = tmp_path / "m.pdm"
+        with pytest.raises(ModelFormatError, match=r"m\.pdm: tensor cell\.U_o holds a value that is not finite$"):
+            save_model(m, str(path))
+        assert os.listdir(tmp_path) == []
+
     def test_save_twice_byte_identical(self, tmp_path):
         m = small_model()
         p1, p2 = str(tmp_path / "a.pdm"), str(tmp_path / "b.pdm")
@@ -144,6 +154,17 @@ class TestLoadModel:
         assert load_model(str(path)).config.max_len == MAX_LEN
         path.write_bytes(patch_header(blob, 4, max_len))
         with pytest.raises(ModelFormatError, match=f"max_len {max_len} above the codec's limit of {MAX_LEN}"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_weight_that_is_not_finite_is_refused_after_the_crc(self, tmp_path, value):
+        m = small_model("gru")
+        path = tmp_path / "m.pdm"
+        save_model(m, str(path))
+        # the first float after the embedding is cell.W_z[0, 0]
+        at = m.params["embed"].size
+        path.write_bytes(patch_payload(path.read_bytes(), at, value))
+        with pytest.raises(ModelFormatError, match=r"tensor cell\.W_z holds a value that is not finite$"):
             load_model(str(path))
 
     def test_bad_magic(self, tmp_path):

@@ -1,5 +1,6 @@
 import importlib
 import json
+import re
 import tracemalloc
 from dataclasses import asdict
 
@@ -347,6 +348,27 @@ class TestTrain:
             train(tiny_model(seed=8), pair, TrainConfig(epochs=2, batch_size=50, seed=8),
                   checkpoint_dir=str(tmp_path))
 
+    @pytest.mark.parametrize("name, value", [("cur.embed", np.nan), ("best.cell.U_h", np.inf),
+                                             ("m2.dense0.b", -np.inf)])
+    def test_resume_refuses_a_tensor_that_is_not_finite(self, tmp_path, name, value):
+        pair = split(make_synthetic_corpus(100, 0.5, 8), 0.75, 8)
+        train(tiny_model(seed=8), pair, TrainConfig(epochs=1, batch_size=50, seed=8),
+              checkpoint_dir=str(tmp_path))
+        state = tmp_path / "train_state.npz"
+        data = dict(np.load(state))
+        data[name].flat[-1] = value
+        np.savez(state, **data)
+        with pytest.raises(ModelFormatError, match=f"do not match the model's parameters: {re.escape(name)}$"):
+            train(tiny_model(seed=8), pair, TrainConfig(epochs=2, batch_size=50, seed=8),
+                  checkpoint_dir=str(tmp_path))
+
+    def test_an_update_that_leaves_a_non_finite_weight_is_refused(self, tmp_path):
+        pair = split(make_synthetic_corpus(100, 0.5, 8), 0.75, 8)
+        with pytest.raises(NumericError, match=r"^epoch 0 batch 0: .*non-finite weight in parameter 'embed'$"):
+            train(tiny_model(seed=8), pair, TrainConfig(epochs=1, batch_size=50, initial_lr=np.inf, seed=8),
+                  checkpoint_dir=str(tmp_path))
+        assert not (tmp_path / "train_state.npz").exists()
+
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(field=st.sampled_from(list(EpochRecord.__dataclass_fields__)),
            value=st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
@@ -463,7 +485,11 @@ class TestScoreBatch:
         ids, lens = random_batch(rng, SCORE_BATCHES[batch])
         want, _ = forward_batch(m, ids, lens, mode="infer")
         got = score_batch(m, ids, lens)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        if lens.sum() >= 2:
+            # the packed projection is a GEMM of 2 or more rows, like the folded table's
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(got > 0.5, want > 0.5)
 
     def test_evaluate_rejects_ids_beyond_vocab(self):
