@@ -2,15 +2,15 @@
 """Alternating parent/change pairs of the benchmark, written as BENCH_<n>.json.
 
     python3 scripts/bench_pairs.py --parent REV --out BENCH_<n>.json \\
-        [--workloads serve,score,train] [--pairs 10] [--first-seed S] \\
-        [--seconds 20] [--claim WORKLOAD:METRIC] [--traced-seed S] \\
+        [--first-seed S] [--claim WORKLOAD:METRIC] [--traced-seed S] \\
         [--description TEXT]
 
 The parent side runs from a `git archive` export of REV in a temporary
 directory (nothing is registered in the repository's .git); the change side
-runs in this working tree as it stands. For each workload, pair k runs
-`perfbench/run.py --workload W --seed S+k --seconds T` once on each side,
-and the side that runs first alternates from pair to pair. Both sides use
+runs in this working tree as it stands. For each workload (serve, score,
+train), pair k of 10 runs `perfbench/run.py --workload W --seed S+k
+--seconds 20` once on each side, and the side that runs first alternates
+from pair to pair. Both sides use
 this tree's perfbench/ and BENCHMARK.json, so the export must hold the same
 benchmark files: the script refuses to run if they differ.
 
@@ -39,6 +39,10 @@ import time
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the protocol a claimed gain is judged by: 10 alternating pairs of 20 s runs per workload
+WORKLOADS = ("serve", "score", "train")
+PAIRS = 10
+SECONDS = 20.0
 
 
 def export(rev: str, into: str) -> None:
@@ -116,15 +120,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent side")
     ap.add_argument("--out", required=True, help="path of the BENCH_<n>.json to write")
-    ap.add_argument("--workloads", default="serve,score,train")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1000)
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--claim", help="WORKLOAD:METRIC the change claims a gain on")
     ap.add_argument("--traced-seed", type=int, help="also make one traced run per side and workload")
     ap.add_argument("--description", default="")
     args = ap.parse_args(argv)
-    workloads = args.workloads.split(",")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     metrics = {m["name"]: m for m in bench["end_to_end"]}
@@ -138,13 +138,13 @@ def main(argv=None) -> int:
             return 2
         trees = {"parent": parent_tree, "change": ROOT}
         runs, env, traced = [], None, {}
-        seeds = [args.first_seed + k for k in range(args.pairs)]
-        for workload in workloads:
+        seeds = [args.first_seed + k for k in range(PAIRS)]
+        for workload in WORKLOADS:
             for k, seed in enumerate(seeds):
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 for side in order:
                     t0 = time.perf_counter()
-                    out = run_once(trees[side], workload, seed, args.seconds, 0)
+                    out = run_once(trees[side], workload, seed, SECONDS, 0)
                     res = out["result"] or {}
                     env = env or out["environment"]
                     runs.append({"workload": workload, "seed": seed, "side": side,
@@ -157,7 +157,7 @@ def main(argv=None) -> int:
                           file=sys.stderr, flush=True)
             if args.traced_seed is not None:
                 for side in ("parent", "change"):
-                    out = run_once(trees[side], workload, args.traced_seed, args.seconds, 1)
+                    out = run_once(trees[side], workload, args.traced_seed, SECONDS, 1)
                     res = out["result"] or {}
                     traced.setdefault(workload, {})[side] = {
                         "correct": bool(res.get("correct")), "attempted": res.get("attempted", 0),
@@ -165,13 +165,13 @@ def main(argv=None) -> int:
                         "metrics": {name: v["value"] for name, v in res.get("metrics", {}).items()}}
 
     report = {}
-    for workload in workloads:
+    for workload in WORKLOADS:
         mine = [r for r in runs if r["workload"] == workload]
         side_runs = {s: [r for r in mine if r["side"] == s] for s in ("parent", "change")}
         complete = all(len(r["metrics"]) == len(metrics) for r in mine)
         report[workload] = {
             "seeds": seeds,
-            "pairs": args.pairs,
+            "pairs": PAIRS,
             "all_correct": all(r["correct"] and r["returncode"] == 0 for r in mine),
             "failed_operations": {s: sum(r["failed"] for r in rs) for s, rs in side_runs.items()},
             "attempted_operations": {s: sum(r["attempted"] for r in rs) for s, rs in side_runs.items()},
@@ -187,12 +187,12 @@ def main(argv=None) -> int:
         stats = report[workload]["metrics"].get(metric)
         if stats:
             claim = {"workload": workload, "metric": metric,
-                     "result": claim_text(stats, args.pairs, metrics[metric]["unit"])}
+                     "result": claim_text(stats, PAIRS, metrics[metric]["unit"])}
     first, last = seeds[0], seeds[-1]
     protocol = (
-        f"For each workload, {args.pairs} pairs of parent and change runs on seeds {first}-{last}, "
+        f"For each workload, {PAIRS} pairs of parent and change runs on seeds {first}-{last}, "
         f"one after another; the side that runs first alternates from pair to pair (ran_first). "
-        f"Workloads ran in the order {', '.join(workloads)}, each run with --seconds {args.seconds:g}. "
+        f"Workloads ran in the order {', '.join(WORKLOADS)}, each run with --seconds {SECONDS:g}. "
         f"The parent ran from a git archive export of {parent_rev}, the change from the working tree, "
         f"with identical perfbench/ and BENCHMARK.json. Medians and quartiles are numpy percentiles "
         f"over the runs of a side. change_better_pairs counts pairs where the change reads better "
@@ -205,7 +205,7 @@ def main(argv=None) -> int:
                      f"{args.traced_seed}, with its per-layer metrics.")
     doc = {"description": args.description,
            "command": "python3 perfbench/run.py --workload {train,score,serve} --seed N --seconds "
-                      f"{args.seconds:g}",
+                      f"{SECONDS:g}",
            "protocol": protocol, "host": host(env) if env else None, "claim": claim,
            "workloads": report, "runs": runs}
     if traced:

@@ -8,13 +8,11 @@ Gate layout: a cell keeps W (d, G*h), U (h, G*h) and b (G*h,), one h-wide
 block per gate, side by side in the PDM1 order -- "fico" for the LSTM
 (forget, input, candidate, output) and "zrh" for the GRU (update, reset,
 candidate). A step takes its pre-activations gate-major, as a (G, n, h)
-array whose a[k] is gate k for the step's n rows; `U_gates` is the (G, h,
-h) view of U that multiplies gate by gate. Where that array is a view of
-packed (n, G*h) rows (a slab of the scan's packed buffer, or any single
-row) the step adds the recurrent term with one GEMM over U, as a row-major
-layout would; otherwise it runs one GEMM per gate block. The two give the
-same bits for 2 or more rows on the BLAS builds the tests pin
-(tests/test_layers.py checks it), and a single row is always packed.
+array whose a[k] is gate k for the step's n rows, whether that array is a
+view of packed (n, G*h) rows or a contiguous block. The step adds the
+recurrent term as one GEMM over the fused U, (n, h) @ (h, G*h), and one
+elementwise add of its gate-major view, so the arithmetic is that of a
+row-major step whatever the layout of a.
 
 Packed variable lengths: the scan runs each row only over its own length.
 Rows are stably sorted longest first, so step t works on a prefix of n_t
@@ -32,9 +30,8 @@ reset gate multiplies h_prev before U_h), and applies the gate
 activations in place, so the projection buffer ends up holding the
 activations. The backward scan walks the same prefixes, writes the
 gradient at the pre-activations into one packed buffer, again through
-gate-major views, and
-takes dW, db and the input gradients from it after the loop, one GEMM or
-sum each; only dU accumulates per step.
+gate-major views, and takes dW, db and the input gradients from it after
+the loop, one GEMM or sum each; only dU accumulates per step.
 
 A scan cache holds only what the backward scan reads: "cell", the
 CellParams the scan ran, so the gradient is taken at the weights that
@@ -52,8 +49,9 @@ sorted prefixes but keeps no cache. It folds the embedding into the input
 projection, T = embed W + b, once per call and lays it out gate-major as
 (G, vocab, h); step t looks its rows' projections up in T into one reused
 contiguous (G, n_t, h) buffer, so every gate op of the step runs on a
-contiguous block, and the cell updates one (S, batch, h) state in place
-(a step's out may be its prev). Memory is O(vocab + batch) rows instead of
+contiguous block (only the add of the recurrent product reads strided
+rows), and the cell updates one (S, batch, h) state in place (a step's
+out may be its prev). Memory is O(vocab + batch) rows instead of
 O(sum(lens)).
 """
 
@@ -124,17 +122,9 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
 
 
-def _add_recurrent(a: np.ndarray, x: np.ndarray, U: np.ndarray) -> None:
-    """a += x U for the gate-major (k, n, h) pre-activations a of k gates,
-    whose blocks of U are U (h, k*h): one GEMM over U where a is a view of
-    packed rows, else one per gate, through U's (k, h, h) view U_gates."""
-    rows = a.transpose(1, 0, 2)
-    if rows.flags.c_contiguous:
-        rows = rows.reshape(len(x), -1)
-        rows += x @ U
-    else:
-        U_gates = U.reshape(len(U), len(a), -1).transpose(1, 0, 2)
-        a += np.matmul(x, U_gates)
+def _gate_major(rows: np.ndarray, h: int) -> np.ndarray:
+    """The (G, n, h) gate-major view of packed (n, G*h) rows."""
+    return rows.reshape(len(rows), rows.shape[1] // h, h).transpose(1, 0, 2)
 
 
 class LstmParams(CellParams):
@@ -151,7 +141,7 @@ class LstmParams(CellParams):
         (no outer squashing), so cell memory is unbounded and the carry
         property f=1, i=0 => c_t = c_prev holds exactly.
         """
-        _add_recurrent(a, prev[0], self.U)
+        a += _gate_major(prev[0] @ self.U, self.hidden_dim)
         fi, o = a[:2], a[3]
         # sigmoid(x) = 0.5 * (1 + tanh(x / 2)) on f, i and o, tanh on g: one tanh pass
         fi *= 0.5
@@ -211,7 +201,7 @@ class GruParams(CellParams):
         n = self.hidden_dim
         h_prev = prev[0]
         zr, g = a[:2], a[2]
-        _add_recurrent(zr, h_prev, self.U[:, : 2 * n])
+        zr += _gate_major(h_prev @ self.U[:, : 2 * n], n)
         zr *= 0.5  # sigmoid(x) = 0.5 * (1 + tanh(x / 2))
         np.tanh(zr, out=zr)
         zr += 1.0
@@ -269,11 +259,6 @@ def _length_order(
     order = np.argsort(-lens, kind="stable")
     lens = lens[order]
     return order, lens, np.arange(lens[0])[:, None] < lens[None, :]
-
-
-def _gate_major(rows: np.ndarray, h: int) -> np.ndarray:
-    """The (G, n, h) gate-major view of packed (n, G*h) rows."""
-    return rows.reshape(len(rows), rows.shape[1] // h, h).transpose(1, 0, 2)
 
 
 def _scan(

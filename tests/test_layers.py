@@ -7,6 +7,7 @@ from phishdefense.errors import ShapeError
 from phishdefense.layers import (
     GruParams,
     LstmParams,
+    _gate_major,
     _scan,
     dense_backward,
     dense_forward,
@@ -385,21 +386,66 @@ def test_infer_scan_ends_in_the_packed_scan_state(params, embed, hidden, seed, l
         np.testing.assert_array_equal(got, want)
 
 
+def _row_major_lstm_step(p, a, prev):
+    """The LSTM step on packed (n, 4h) rows, with the recurrent term fused."""
+    h = p.hidden_dim
+    a += prev[0] @ p.U
+    fi, o = a[:, : 2 * h], a[:, 3 * h :]
+    fi *= 0.5
+    o *= 0.5
+    np.tanh(a, out=a)
+    for s in (fi, o):
+        s += 1.0
+        s *= 0.5
+    f, i, g = fi[:, :h], fi[:, h:], a[:, 2 * h : 3 * h]
+    c = f * prev[1] + i * g
+    return np.stack([np.tanh(c) * o, c])
+
+
+def _row_major_gru_step(p, a, prev):
+    """The GRU step on packed (n, 3h) rows, with the z/r recurrent term fused."""
+    n = p.hidden_dim
+    h_prev = prev[0]
+    zr, g = a[:, : 2 * n], a[:, 2 * n :]
+    zr += h_prev @ p.U[:, : 2 * n]
+    zr *= 0.5
+    np.tanh(zr, out=zr)
+    zr += 1.0
+    zr *= 0.5
+    z, r = zr[:, :n], zr[:, n:]
+    g += (r * h_prev) @ p.U[:, 2 * n :]
+    np.tanh(g, out=g)
+    zh = z * h_prev
+    h = 1.0 - z
+    h *= g
+    h += zh
+    return h[None]
+
+
+ROW_MAJOR_STEPS = {LstmParams: _row_major_lstm_step, GruParams: _row_major_gru_step}
+
+
 @GATE_MAJOR
 @given(params=CELL_KINDS, hidden=WIDTHS, n=st.integers(1, 6), seed=st.integers(0, 10**6))
 def test_a_step_on_a_packed_view_equals_the_step_on_a_contiguous_copy(params, hidden, n, seed):
+    # both equal the row-major step with its fused recurrent GEMM, bit for bit
     rng = np.random.default_rng(seed)
     p = params.init(3, hidden, seed=seed)
     g = len(params.GATES)
+    packed = rng.standard_normal((n + 2, g * hidden))
+    rows = packed[1:-1].copy()
     # n rows of a packed buffer with a row on either side, seen gate-major
-    view = rng.standard_normal((n + 2, g * hidden)).reshape(n + 2, g, hidden).transpose(1, 0, 2)[:, 1:-1]
+    view = packed.reshape(n + 2, g, hidden).transpose(1, 0, 2)[:, 1:-1]
     copy = view.copy()  # ascontiguousarray would return a one-row view itself
     prev = rng.standard_normal((params.STATES, n, hidden))
+    want = ROW_MAJOR_STEPS[params](p, rows, prev)
     outs = np.empty((2, *prev.shape))
     p.step(view, prev, outs[0])
     p.step(copy, prev, outs[1])
-    np.testing.assert_array_equal(outs[0], outs[1])
+    np.testing.assert_array_equal(outs[0], want)
+    np.testing.assert_array_equal(outs[1], want)
     np.testing.assert_array_equal(view, copy)
+    np.testing.assert_array_equal(_gate_major(rows, hidden), copy)
 
 
 class TestEmbedding:
