@@ -8,13 +8,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import http.client
 import io
 import json
 import os
+import re
+import selectors
 import signal
 import sys
+import threading
+import time
 import traceback
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 from .codec import MAX_LEN, Vocab, default_vocab
 from .data import CSV_COLUMNS, load_csv, split, text_lines
@@ -34,25 +39,233 @@ from .train import (
 )
 
 MAX_REQUEST_BODY = 16 * 1024
-# seconds a serve connection may wait on its client (for a request line, or a
-# body shorter than its Content-Length) before it is closed
+# seconds a serve connection may go without a byte from or to its client (a
+# request line that never comes, a body shorter than its Content-Length, a
+# reply the client does not read) before it is closed without a reply
 REQUEST_TIMEOUT_S = 10.0
+# what http.server reads of a request at most (http.client's limits): a line
+# of 64 KiB, and 100 header lines counting the blank one that ends them; past
+# either it answers 414 or 431
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.[0-9]{1,10}")  # one parse_request accepts
+# a header block of `name: value` lines only, each of which email's parser
+# reads as one header
+_PLAIN_HEADERS = re.compile(rb"(?:[!-9;-~]+:[^\r\n]*\r?\n)*\r?\n")
+_CONTENT_LENGTH = re.compile(rb"^content-length:(.*)$", re.IGNORECASE | re.MULTILINE)
+_RECV_BYTES = 65536
 LATENCY_SAMPLE = 50  # URLs eval times single-URL predict on
 STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)
 # C0 and C1 control characters and DEL, written as \xNN
 _CONTROL_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
 
 
-class _Server(ThreadingHTTPServer):
+def _reads_headers(words) -> bool:
+    """Whether http.server reads header lines after a request line of these
+    words: after `GET path` (HTTP/0.9) and `METHOD path HTTP/x.y` below
+    HTTP/2. Any other line it answers at once (or, when blank, not at all)."""
+    if len(words) == 2:
+        return words[0] == "GET"
+    version = len(words) == 3 and _VERSION.fullmatch(words[2])
+    return bool(version) and int(version[1]) < 2
+
+
+def _body_length(head: bytes) -> int:
+    """How many body bytes do_POST reads after the header block head: its
+    Content-Length, or 0 where it answers without reading a body."""
+    if _PLAIN_HEADERS.fullmatch(head):  # its first Content-Length line, without email's 20 us parse
+        found = _CONTENT_LENGTH.search(head)
+        value = found[1].decode("iso-8859-1") if found else "0"
+    else:
+        value = http.client.parse_headers(io.BytesIO(head)).get("Content-Length", "0")
+    try:
+        length = int(value)
+    except ValueError:
+        return 0
+    return length if 0 <= length <= MAX_REQUEST_BODY else 0
+
+
+class _Exchange:
+    """One request's buffered bytes, in the shape of the socket a
+    StreamRequestHandler reads and writes: the handler reads the buffer and
+    its reply collects in `reply`, so it never waits on the client."""
+
+    def __init__(self, request: bytes):
+        self.request, self.reply = request, bytearray()
+
+    def makefile(self, mode, buffering=-1):  # the handler's reading file; its writer calls sendall
+        return io.BytesIO(self.request)
+
+    def sendall(self, data):
+        self.reply += data
+
+
+class _Connection:
+    """A client's connection: its request as it arrives, then its reply as
+    it drains."""
+
+    def __init__(self, sock, address):
+        self.sock, self.address = sock, address
+        self.data = bytearray()
+        self.line = 0  # where the first line not yet read whole starts
+        self.lines = 0  # the request line and the header lines read whole
+        self.head = 0  # where the header block starts
+        self.post = False
+        self.end = None  # where the request ends, once its header block has
+        self.reply = None  # the reply bytes not yet written, once there is one
+        self.deadline = 0.0
+
+    def complete(self) -> bool:
+        """Whether data holds all that http.server reads of the request: it
+        reads the request line, then (unless it answers that line at once)
+        header lines up to a blank one, then a POST's Content-Length body; it
+        answers a line over _MAX_LINE or more than _MAX_HEADERS headers at
+        once, and a Content-Length it refuses without reading a body."""
+        data = self.data
+        while self.end is None:
+            start, stop = self.line, data.find(b"\n", self.line) + 1
+            if not stop:
+                return len(data) - start > _MAX_LINE
+            self.line = stop
+            self.lines += 1
+            if stop - start > _MAX_LINE or self.lines > _MAX_HEADERS + 1:
+                return True
+            if self.lines == 1:
+                words = data[:stop].decode("iso-8859-1").split()
+                if not _reads_headers(words):
+                    return True
+                self.head, self.post = stop, words[0] == "POST"
+            elif data[start:stop] in (b"\r\n", b"\n"):
+                self.end = stop + (_body_length(bytes(data[self.head:stop])) if self.post else 0)
+        return len(data) >= self.end
+
+
+class _Server(HTTPServer):
+    """Serves every connection from one selector loop: it reads a request
+    until http.server has all it reads of it, runs the handler on a buffered
+    copy, and writes the reply without blocking, so an idle or slow client
+    costs a file descriptor, not a thread. Scoring runs inline in the loop."""
+
     # socketserver's listen backlog of 5 drops most connects of a burst
     request_queue_size = 128
     supervisor = None  # in a forked worker, the pid of the process that forked it
+
+    def __init__(self, server_address, RequestHandlerClass):
+        super().__init__(server_address, RequestHandlerClass)
+        self._stopping = False
+        self._stopped = threading.Event()
+
+    def server_activate(self):
+        super().server_activate()
+        # every serving process polls this socket: a connect wakes them all
+        # and the first to accept takes it, so the others' accept must not wait
+        self.socket.setblocking(False)
 
     def service_actions(self):
         # a worker whose supervisor is gone (killed, say) stops serving, so
         # nothing is left holding the port
         if self.supervisor is not None and os.getppid() != self.supervisor:
             os._exit(0)
+
+    def serve_forever(self, poll_interval=0.5):
+        self._stopped.clear()
+        # open connections in the order of their deadlines: each deadline is
+        # REQUEST_TIMEOUT_S after the connection's last byte
+        self._open = {}
+        try:
+            with selectors.DefaultSelector() as self._selector:
+                self._selector.register(self.socket, selectors.EVENT_READ)
+                while not self._stopping:
+                    timeout = poll_interval
+                    if self._open:
+                        timeout = min(timeout, max(next(iter(self._open)).deadline - time.monotonic(), 0.0))
+                    for key, _ in self._selector.select(timeout):
+                        conn = key.data
+                        if conn is None:
+                            self._accept()
+                        elif conn.reply is None:
+                            self._read(conn)
+                        else:
+                            self._write(conn)
+                    now = time.monotonic()
+                    while self._open and (conn := next(iter(self._open))).deadline <= now:
+                        _log(f"{conn.address[0]} - connection timed out: no byte for {REQUEST_TIMEOUT_S:g} s")
+                        self._close(conn)
+                    self.service_actions()
+        finally:
+            for conn in self._open:
+                conn.sock.close()
+            self._stopping = False
+            self._stopped.set()
+
+    def shutdown(self):
+        self._stopping = True
+        self._stopped.wait()
+
+    def _touch(self, conn) -> None:
+        self._open.pop(conn, None)
+        self._open[conn] = None
+        conn.deadline = time.monotonic() + REQUEST_TIMEOUT_S
+
+    def _close(self, conn) -> None:
+        self._selector.unregister(conn.sock)
+        del self._open[conn]
+        self.shutdown_request(conn.sock)
+
+    def _lost(self, conn, error: OSError) -> None:
+        _log(f"{conn.address[0]} - connection lost: {error!r}")
+        self._close(conn)
+
+    def _accept(self) -> None:
+        try:
+            sock, address = self.socket.accept()
+        except OSError:  # another process took it, or its client gave up
+            return
+        sock.setblocking(False)
+        conn = _Connection(sock, address)
+        self._selector.register(sock, selectors.EVENT_READ, conn)
+        self._touch(conn)
+        self._read(conn)  # the request often arrives with the connect
+
+    def _read(self, conn) -> None:
+        had = len(conn.data)
+        try:
+            while chunk := conn.sock.recv(_RECV_BYTES):
+                conn.data += chunk
+                if conn.complete():
+                    break
+        except BlockingIOError:  # the rest of the request has not arrived
+            if len(conn.data) > had:
+                self._touch(conn)
+            return
+        except OSError as e:
+            self._lost(conn, e)
+            return
+        # complete, or the client has finished sending
+        exchange = _Exchange(bytes(conn.data))
+        try:
+            self.finish_request(exchange, conn.address)
+        except Exception:
+            self.handle_error(conn.sock, conn.address)
+            self._close(conn)
+            return
+        conn.reply = memoryview(exchange.reply)
+        self._write(conn)
+
+    def _write(self, conn) -> None:
+        left = len(conn.reply)
+        try:
+            while conn.reply:
+                conn.reply = conn.reply[conn.sock.send(conn.reply):]
+        except BlockingIOError:  # the client's window is full: wait for it to read
+            self._selector.modify(conn.sock, selectors.EVENT_WRITE, conn)
+            if len(conn.reply) < left:
+                self._touch(conn)
+            return
+        except OSError as e:
+            self._lost(conn, e)
+            return
+        self._close(conn)
 
 
 def _log(msg: str) -> None:
@@ -288,16 +501,9 @@ def make_handler(model: ModelGraph):
     vocab = default_vocab()
 
     class Handler(BaseHTTPRequestHandler):
-        timeout = REQUEST_TIMEOUT_S
         # a request line without a version is answered as HTTP/1.0, not 0.9:
         # every reply carries its status line and headers
         default_request_version = "HTTP/1.0"
-
-        def handle(self):
-            try:
-                super().handle()
-            except ConnectionError as e:  # the client hung up before its reply
-                self.log_error("connection lost: %r", e)
 
         def log_message(self, fmt, *args):  # route access logs to stderr
             _log("%s - %s" % (self.address_string(), fmt % args))
@@ -367,10 +573,6 @@ def _process_count() -> int:
 def _fork_workers(server: _Server, n: int, pids: list) -> None:
     """Fork n processes that serve on server's socket too, adding each pid
     to pids as it starts."""
-    # Every process wakes on a new connection and only one accepts it: the
-    # others' accept raises BlockingIOError, which socketserver ignores,
-    # where a blocking accept would park them outside their serve loop.
-    server.socket.setblocking(False)
     sys.stdout.flush()  # or a buffered line would be written once per process
     sys.stderr.flush()
     supervisor = os.getpid()

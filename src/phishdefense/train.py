@@ -163,7 +163,7 @@ def _best_epoch(history: List[EpochRecord]) -> int:
 def _write_history(path: str, history: Sequence[EpochRecord]) -> None:
     """Rewrite the JSONL history file whole: it holds exactly the run's records."""
     with atomic_write(path) as fh:
-        fh.write("".join(json.dumps(asdict(r)) + "\n" for r in history).encode())
+        fh.write("".join(json.dumps(asdict(r), allow_nan=False) + "\n" for r in history).encode())
 
 
 _RUN_PARTS = {"config": "model config", "train_config": "training config", "data": "data digest"}
@@ -269,25 +269,33 @@ def train(
         epoch_seed = int(np.random.SeedSequence([cfg.seed, epoch]).generate_state(1)[0])
         total_loss = 0.0
         correct = 0
-        for b_idx, (ids, lens, labels) in enumerate(
-            batches(data.train, cfg.batch_size, epoch_seed, vocab, max_len)
-        ):
-            drop_seed = int(
-                np.random.SeedSequence([cfg.seed, epoch, b_idx, 7]).generate_state(1)[0]
-            )
-            probs, caches = forward_batch(model, ids, lens, mode="train", seed=drop_seed)
-            try:
-                grads, loss = backward_batch(model, caches, labels)
-                model.params = adam_step(model.params, grads, adam)
-            except NumericError as e:
-                raise NumericError(f"epoch {epoch} batch {b_idx}: {e}") from e
-            if not np.isfinite(loss):
-                raise NumericError(f"epoch {epoch} batch {b_idx}: loss is {loss}")
-            total_loss += loss * len(labels)
-            correct += int(np.sum((probs > 0.5).astype(np.int64) == labels))
-        train_loss = total_loss / n_train
-        train_acc = correct / n_train
-        (tp, _, tn, _), val_loss = _score(model, data.test, vocab, 0.5)
+        # an overflow is named by the checks below (the gradients, the
+        # weights, the losses), not by numpy's warnings on stderr
+        with np.errstate(all="ignore"):
+            for b_idx, (ids, lens, labels) in enumerate(
+                batches(data.train, cfg.batch_size, epoch_seed, vocab, max_len)
+            ):
+                drop_seed = int(
+                    np.random.SeedSequence([cfg.seed, epoch, b_idx, 7]).generate_state(1)[0]
+                )
+                probs, caches = forward_batch(model, ids, lens, mode="train", seed=drop_seed)
+                try:
+                    grads, loss = backward_batch(model, caches, labels)
+                    model.params = adam_step(model.params, grads, adam)
+                except NumericError as e:
+                    raise NumericError(f"epoch {epoch} batch {b_idx}: {e}") from e
+                # freed before the next batch's forward: at batch 500 the
+                # default LSTM's caches hold about 110 MB
+                del caches, grads
+                if not np.isfinite(loss):
+                    raise NumericError(f"epoch {epoch} batch {b_idx}: loss is {loss}")
+                total_loss += loss * len(labels)
+                correct += int(np.sum((probs > 0.5).astype(np.int64) == labels))
+            train_loss = total_loss / n_train
+            train_acc = correct / n_train
+            (tp, _, tn, _), val_loss = _score(model, data.test, vocab, 0.5)
+        if not np.isfinite(val_loss):
+            raise NumericError(f"epoch {epoch}: validation loss is {val_loss}")
         val_acc = (tp + tn) / len(data.test)
         history.append(EpochRecord(
             epoch=epoch,

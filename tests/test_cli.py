@@ -7,13 +7,16 @@ import re
 import shlex
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
-from contextlib import contextmanager, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 import requests
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import confusion_fixture, labels, patch_payload, read_until_close
 from phishdefense import cli
@@ -151,6 +154,23 @@ class TestTrainCommand:
         assert (code, stdout) == (1, "")
         assert err == "error: epoch 0 batch 0: the update left a non-finite weight in parameter 'embed'\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("corpus, error", [
+        ("200", "error: epoch 0 batch 1: non-finite gradient for parameter 'dense1.w'"),
+        ("20", "error: epoch 0: validation loss is nan"),  # the weights stay finite, near 1e308
+    ])
+    def test_a_diverging_run_exits_1_with_one_line_and_no_nan_in_its_history(self, tmp_path, corpus, error):
+        # a subprocess: its stderr holds numpy's warnings too, which pytest would capture
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "phishdefense.cli", "train", "--synthetic", corpus, "--batch", "20",
+             "--epochs", "1", "--hidden", "4", "--embed", "4", "--lr", "1e308", "--out", "y.pdm"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", error + "\n")
+        assert not (tmp_path / "y.pdm").exists()
+        assert "NaN" not in (tmp_path / "y.pdm.history.jsonl").read_text()
 
     def test_two_record_csv_exits_1_with_one_line(self, tmp_path, capsys):
         data = tmp_path / "two.csv"
@@ -365,8 +385,8 @@ class TestSynthCommand:
 
 
 @contextmanager
-def serving(model):
-    server = cli._Server(("127.0.0.1", 0), make_handler(model))
+def serving(model, handler=None):
+    server = cli._Server(("127.0.0.1", 0), handler or make_handler(model))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -561,6 +581,151 @@ class TestServe:
                 sock.close()
             server.shutdown()
             server.server_close()
+
+
+def address(base):
+    host, _, port = base[len("http://"):].partition(":")
+    return host, int(port)
+
+
+def check_request(body):
+    return b"POST /check HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+
+
+class TestServeLoop:
+    """One selector loop answers every connection of a serving process."""
+
+    def test_idle_connections_start_no_thread(self, http_server):
+        threads = threading.active_count()
+        idle = [socket.create_connection(address(http_server), timeout=5) for _ in range(16)]
+        try:
+            # accepted in turn, so the 16 are accepted before this is answered
+            assert requests.post(http_server + "/check", json={"url": "a"}, timeout=1).status_code == 200
+            assert threading.active_count() == threads
+        finally:
+            for sock in idle:
+                sock.close()
+
+    def test_a_client_that_reads_no_reply_holds_up_no_other(self, fixture_model_path, monkeypatch):
+        class SmallSendBuffers(cli._Server):
+            def server_activate(self):  # accepted sockets take the listener's buffer size
+                super().server_activate()
+                self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+
+        # so a 16 KiB reply cannot all be written at once
+        monkeypatch.setattr(cli, "_Server", SmallSendBuffers)
+        body = json.dumps({"url": "x" * (cli.MAX_REQUEST_BODY - 11)}).encode()
+        assert len(body) == cli.MAX_REQUEST_BODY
+        with serving(load_model(fixture_model_path)) as base, socket.socket() as stalled:
+            stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1024)
+            stalled.settimeout(5)
+            stalled.connect(address(base))
+            stalled.sendall(check_request(body))
+            time.sleep(0.1)  # the loop reads it and starts its reply
+            assert requests.post(base + "/check", json={"url": "a"}, timeout=1).status_code == 200
+
+    def test_a_request_sent_byte_by_byte_is_answered_once(self, fixture_model_path):
+        handler = make_handler(load_model(fixture_model_path))
+        do_post, paths = handler.do_POST, []
+
+        def counted(self):
+            paths.append(self.path)
+            do_post(self)
+
+        handler.do_POST = counted
+        with serving(None, handler) as base, socket.create_connection(address(base), timeout=5) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for byte in check_request(b'{"url": "a"}'):
+                sock.send(bytes([byte]))
+                time.sleep(0.001)
+            reply = read_until_close(sock)
+        assert reply.split()[1] == b"200" and json.loads(reply.partition(b"\r\n\r\n")[2])["url"] == "a"
+        assert paths == ["/check"]
+
+
+class _Reads(io.BytesIO):
+    """A request file that keeps, when closed, how many bytes were read."""
+
+    def close(self):
+        self.read_bytes = self.tell()
+        super().close()
+
+
+class _Recorder(cli._Exchange):
+    """The loop's stand-in for a socket, keeping the handler's request file."""
+
+    def makefile(self, mode, buffering=-1):
+        self.rfile = _Reads(self.request)
+        return self.rfile
+
+
+LATIN1 = st.text(st.characters(max_codepoint=255), max_size=12)
+
+
+def mostly(choices):
+    """One of choices three times in four, else latin-1 text."""
+    return st.one_of(*[st.sampled_from(choices)] * 3, LATIN1)
+
+
+@st.composite
+def request_bytes(draw):
+    """Request bytes near and beyond what http.server accepts: odd request
+    lines, header lines past its limits, a Content-Length of any text."""
+    method = draw(mostly(["POST", "GET", "PUT"]))
+    version = draw(mostly(["HTTP/1.1", "HTTP/1.0", "HTTP/2.0", "HTTP/01.1", "HTTP/1.1.1", "HTTP/\xb2.1", ""]))
+    line = draw(st.sampled_from([f"{method} /check {version}".rstrip()] * 4 + ["", method, "a b c d"]))
+    names = mostly(["Content-Length", "content-length", "Host", "Content-Length ", "From ", ""])
+    values = mostly(["0", "12", " 5 ", "-1", "16384", "16385", "x", "\xa012", "1\x0b2", "1\r2"])
+    headers = draw(st.lists(st.tuples(names, st.sampled_from([":", ": ", ""]), values), max_size=6))
+    sep = draw(st.sampled_from(["\r\n", "\n"]))
+    lines = [line] + ["".join(h) for h in headers]
+    extra = draw(st.sampled_from(["", "", "", "", "", "folded", "headers", "line"]))
+    if extra == "folded":  # a header line that continues the one before
+        lines.append(" 3")
+    elif extra == "headers":  # at and past http.client's limit of 100
+        lines += ["X-A: b"] * draw(st.integers(98, 101))
+    elif extra == "line":  # a line of 64 KiB, the longest http.server reads
+        lines.insert(draw(st.integers(0, 1)), "X" * draw(st.integers(cli._MAX_LINE - 3, cli._MAX_LINE)))
+    head = sep.join(lines).encode("latin-1") + sep.encode() * 2
+    return head + draw(st.binary(max_size=40))
+
+
+def _headers(*lines):
+    return "".join(line + "\r\n" for line in lines).encode("latin-1") + b"\r\n"
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=request_bytes(), cuts=st.lists(st.floats(0, 1), max_size=20))
+@example(data=_headers("POST /check HTTP/1.1", "Content-Length: 5") + b"abcde", cuts=[])
+@example(data=_headers("POST /check HTTP/1.0", "content-length:  3 ") + b"abcde", cuts=[])
+@example(data=_headers("POST /check HTTP/1.1", "Content-Length: 16384") + b"a" * 16384, cuts=[])
+@example(data=_headers("GET /check HTTP/1.1", "Content-Length: 5") + b"abc", cuts=[])
+@example(data=_headers("GET /health", "Host: x"), cuts=[])
+@example(data=_headers("POST /check HTTP/2.0", "Content-Length: 5") + b"abc", cuts=[])
+@example(data=_headers("POST /check HTTP/1.1", *["X-A: b"] * 98, "Content-Length: 5") + b"abcde", cuts=[])
+@example(data=_headers("POST /check HTTP/1.1", *["X-A: b"] * 99, "Content-Length: 5") + b"abcde", cuts=[])
+@example(data=_headers("POST /check HTTP/1.1", *["X-A: b"] * 100, "Content-Length: 5") + b"abcde", cuts=[])
+@example(data=_headers("GET /" + "a" * (cli._MAX_LINE - 16) + " HTTP/1.1"), cuts=[])
+@example(data=_headers("GET /" + "a" * (cli._MAX_LINE - 15) + " HTTP/1.1"), cuts=[])
+@example(data=_headers("GET / HTTP/1.1", "X" * (cli._MAX_LINE - 2)), cuts=[])
+@example(data=_headers("GET / HTTP/1.1", "X" * (cli._MAX_LINE - 1)), cuts=[])
+@example(data=_headers("GET / HTTP/1.1", "X" * (cli._MAX_LINE + 10)), cuts=[])
+@example(data=_headers("POST /check HTTP/1.1", "Content-Length: 5", " 1") + b"abc", cuts=[])
+@example(data=_headers("POST /check HTTP/1.1", "Content-Length: 5\rX: 1") + b"abc", cuts=[])
+def test_a_request_is_complete_once_http_server_has_read_all_it_reads(fixture_model_path, data, cuts):
+    # http.server's reads on the request followed by more bytes than any
+    # read of it takes: what it reads of data is what the loop waits for
+    handler = make_handler(load_model(fixture_model_path))
+    recorder = _Recorder(data + b"x" * (2 * cli._MAX_LINE))
+    with redirect_stderr(io.StringIO()):
+        handler(recorder, ("127.0.0.1", 0), None)
+    need = recorder.rfile.read_bytes
+    conn = cli._Connection(None, None)
+    # the loop sees data arrive in pieces, one of them ending just before need
+    ends = sorted({round(cut * len(data)) for cut in cuts} | {need - 1, need, len(data)})
+    ends = [end for end in ends if 0 < end <= len(data)]
+    done = next((end for end in ends if conn.data.extend(data[len(conn.data):end]) or conn.complete()), None)
+    assert done == next((end for end in ends if end >= need), None)
 
 
 SMALL_TRAIN = ["--hidden", "4", "--embed", "3", "--max-len", "20"]
