@@ -49,10 +49,6 @@ REQUEST_TIMEOUT_S = 10.0
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
 _VERSION = re.compile(r"HTTP/([0-9]{1,10})\.[0-9]{1,10}")  # one parse_request accepts
-# a header block of `name: value` lines only, each of which email's parser
-# reads as one header
-_PLAIN_HEADERS = re.compile(rb"(?:[!-9;-~]+:[^\r\n]*\r?\n)*\r?\n")
-_CONTENT_LENGTH = re.compile(rb"^content-length:(.*)$", re.IGNORECASE | re.MULTILINE)
 _RECV_BYTES = 65536
 LATENCY_SAMPLE = 50  # URLs eval times single-URL predict on
 STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)
@@ -70,18 +66,19 @@ def _reads_headers(words) -> bool:
     return bool(version) and int(version[1]) < 2
 
 
-def _body_length(head: bytes) -> int:
-    """How many body bytes do_POST reads after the header block head: its
-    Content-Length, or 0 where it answers without reading a body."""
-    if _PLAIN_HEADERS.fullmatch(head):  # its first Content-Length line, without email's 20 us parse
-        found = _CONTENT_LENGTH.search(head)
-        value = found[1].decode("iso-8859-1") if found else "0"
-    else:
-        value = http.client.parse_headers(io.BytesIO(head)).get("Content-Length", "0")
+def _content_length(headers) -> int:
+    """A request's Content-Length, or -1 where it is not an integer."""
     try:
-        length = int(value)
+        return int(headers.get("Content-Length", "0"))
     except ValueError:
-        return 0
+        return -1
+
+
+def _body_length(headers) -> int:
+    """How many body bytes do_POST reads of a POST with these headers,
+    whatever its path: its Content-Length, or 0 where do_POST answers 400
+    or 413 without reading a body."""
+    length = _content_length(headers)
     return length if 0 <= length <= MAX_REQUEST_BODY else 0
 
 
@@ -136,7 +133,8 @@ class _Connection:
                     return True
                 self.head, self.post = stop, words[0] == "POST"
             elif data[start:stop] in (b"\r\n", b"\n"):
-                self.end = stop + (_body_length(bytes(data[self.head:stop])) if self.post else 0)
+                head = http.client.parse_headers(io.BytesIO(data[self.head:stop]))
+                self.end = stop + (_body_length(head) if self.post else 0)
         return len(data) >= self.end
 
 
@@ -528,20 +526,19 @@ def make_handler(model: ModelGraph):
                 self.send_error(404, "not found")
 
         def do_POST(self):
+            # the body is read before the path is routed: the serving loop
+            # waits for _body_length bytes of every POST
+            raw = self.rfile.read(_body_length(self.headers))
             if self.path != "/check":
                 self.send_error(404, "not found")
                 return
-            try:
-                length = int(self.headers.get("Content-Length", "0"))
-            except ValueError:
-                length = -1
+            length = _content_length(self.headers)
             if length < 0:  # reply without reading a body of unknown size
                 self.send_error(400, "bad request: invalid Content-Length")
                 return
             if length > MAX_REQUEST_BODY:
                 self.send_error(413, "request body too large")
                 return
-            raw = self.rfile.read(length)
             try:
                 payload = json.loads(raw)
                 url = payload["url"]

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 import requests
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import confusion_fixture, labels, patch_payload, read_until_close
 from phishdefense import cli
@@ -670,10 +670,12 @@ def mostly(choices):
 @st.composite
 def request_bytes(draw):
     """Request bytes near and beyond what http.server accepts: odd request
-    lines, header lines past its limits, a Content-Length of any text."""
+    lines and paths, header lines past its limits, a Content-Length of any
+    text."""
     method = draw(mostly(["POST", "GET", "PUT"]))
     version = draw(mostly(["HTTP/1.1", "HTTP/1.0", "HTTP/2.0", "HTTP/01.1", "HTTP/1.1.1", "HTTP/\xb2.1", ""]))
-    line = draw(st.sampled_from([f"{method} /check {version}".rstrip()] * 4 + ["", method, "a b c d"]))
+    path = draw(st.sampled_from(["/check"] * 3 + ["/x", "/check?x=1", "//check", "/"]))
+    line = draw(st.sampled_from([f"{method} {path} {version}".rstrip()] * 4 + ["", method, "a b c d"]))
     names = mostly(["Content-Length", "content-length", "Host", "Content-Length ", "From ", ""])
     values = mostly(["0", "12", " 5 ", "-1", "16384", "16385", "x", "\xa012", "1\x0b2", "1\r2"])
     headers = draw(st.lists(st.tuples(names, st.sampled_from([":", ": ", ""]), values), max_size=6))
@@ -694,7 +696,12 @@ def _headers(*lines):
     return "".join(line + "\r\n" for line in lines).encode("latin-1") + b"\r\n"
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@pytest.fixture(scope="module")
+def fixture_handler(fixture_model_path):
+    return make_handler(load_model(fixture_model_path))
+
+
+@settings(max_examples=300, deadline=None)
 @given(data=request_bytes(), cuts=st.lists(st.floats(0, 1), max_size=20))
 @example(data=_headers("POST /check HTTP/1.1", "Content-Length: 5") + b"abcde", cuts=[])
 @example(data=_headers("POST /check HTTP/1.0", "content-length:  3 ") + b"abcde", cuts=[])
@@ -712,13 +719,16 @@ def _headers(*lines):
 @example(data=_headers("GET / HTTP/1.1", "X" * (cli._MAX_LINE + 10)), cuts=[])
 @example(data=_headers("POST /check HTTP/1.1", "Content-Length: 5", " 1") + b"abc", cuts=[])
 @example(data=_headers("POST /check HTTP/1.1", "Content-Length: 5\rX: 1") + b"abc", cuts=[])
-def test_a_request_is_complete_once_http_server_has_read_all_it_reads(fixture_model_path, data, cuts):
+@example(data=_headers("POST /x HTTP/1.1", "Content-Length: 500"), cuts=[])
+@example(data=_headers("POST /check?x=1 HTTP/1.1", "Content-Length: 5") + b"abcde", cuts=[])
+@example(data=_headers("POST //check HTTP/1.0", "Content-Length: 5") + b"abc", cuts=[])
+@example(data=_headers("POST /x HTTP/1.1", "Content-Length: x"), cuts=[])
+def test_a_request_is_complete_once_http_server_has_read_all_it_reads(fixture_handler, data, cuts):
     # http.server's reads on the request followed by more bytes than any
     # read of it takes: what it reads of data is what the loop waits for
-    handler = make_handler(load_model(fixture_model_path))
     recorder = _Recorder(data + b"x" * (2 * cli._MAX_LINE))
     with redirect_stderr(io.StringIO()):
-        handler(recorder, ("127.0.0.1", 0), None)
+        fixture_handler(recorder, ("127.0.0.1", 0), None)
     need = recorder.rfile.read_bytes
     conn = cli._Connection(None, None)
     # the loop sees data arrive in pieces, one of them ending just before need
