@@ -8,11 +8,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import http.client
 import io
 import json
 import os
-import re
 import selectors
 import signal
 import sys
@@ -43,27 +41,11 @@ MAX_REQUEST_BODY = 16 * 1024
 # request line that never comes, a body shorter than its Content-Length, a
 # reply the client does not read) before it is closed without a reply
 REQUEST_TIMEOUT_S = 10.0
-# what http.server reads of a request at most (http.client's limits): a line
-# of 64 KiB, and 100 header lines counting the blank one that ends them; past
-# either it answers 414 or 431
-_MAX_LINE = 65536
-_MAX_HEADERS = 100
-_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.[0-9]{1,10}")  # one parse_request accepts
 _RECV_BYTES = 65536
 LATENCY_SAMPLE = 50  # URLs eval times single-URL predict on
 STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)
 # C0 and C1 control characters and DEL, written as \xNN
 _CONTROL_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
-
-
-def _reads_headers(words) -> bool:
-    """Whether http.server reads header lines after a request line of these
-    words: after `GET path` (HTTP/0.9) and `METHOD path HTTP/x.y` below
-    HTTP/2. Any other line it answers at once (or, when blank, not at all)."""
-    if len(words) == 2:
-        return words[0] == "GET"
-    version = len(words) == 3 and _VERSION.fullmatch(words[2])
-    return bool(version) and int(version[1]) < 2
 
 
 def _content_length(headers) -> int:
@@ -74,27 +56,48 @@ def _content_length(headers) -> int:
         return -1
 
 
-def _body_length(headers) -> int:
-    """How many body bytes do_POST reads of a POST with these headers,
-    whatever its path: its Content-Length, or 0 where do_POST answers 400
-    or 413 without reading a body."""
-    length = _content_length(headers)
-    return length if 0 <= length <= MAX_REQUEST_BODY else 0
+class _Incomplete(Exception):
+    """The handler read past the bytes its client has sent so far."""
 
 
 class _Exchange:
-    """One request's buffered bytes, in the shape of the socket a
-    StreamRequestHandler reads and writes: the handler reads the buffer and
-    its reply collects in `reply`, so it never waits on the client."""
+    """A connection's bytes received so far, in the shape of the socket a
+    StreamRequestHandler writes and of the file it reads: its reply collects
+    in `reply`, so it never waits on the client. A read past those bytes,
+    while the client may still send, keeps in `wants` what it waited for and
+    raises _Incomplete; once the client has finished sending, reads return
+    short, as io.BytesIO does."""
 
-    def __init__(self, request: bytes):
-        self.request, self.reply = request, bytearray()
+    def __init__(self, data, eof: bool):
+        self.data, self.eof, self.pos = data, eof, 0
+        self.reply = bytearray()
+        self.wants = None  # (end, line): data up to end, or with line, a line break
 
     def makefile(self, mode, buffering=-1):  # the handler's reading file; its writer calls sendall
-        return io.BytesIO(self.request)
+        return self
+
+    def readline(self, limit=-1):
+        end = self.data.find(b"\n", self.pos) + 1 or sys.maxsize
+        if 0 <= limit < end - self.pos:
+            end = self.pos + limit
+        return self._take(end, line=True)
+
+    def read(self, size):
+        return self._take(self.pos + size, line=False)
+
+    def _take(self, end: int, line: bool) -> bytes:
+        if end > len(self.data) and not self.eof:
+            self.wants = end, line
+            raise _Incomplete
+        chunk = bytes(self.data[self.pos:end])
+        self.pos += len(chunk)
+        return chunk
 
     def sendall(self, data):
         self.reply += data
+
+    def close(self):  # the loop closes the connection
+        pass
 
 
 class _Connection:
@@ -104,45 +107,19 @@ class _Connection:
     def __init__(self, sock, address):
         self.sock, self.address = sock, address
         self.data = bytearray()
-        self.line = 0  # where the first line not yet read whole starts
-        self.lines = 0  # the request line and the header lines read whole
-        self.head = 0  # where the header block starts
-        self.post = False
-        self.end = None  # where the request ends, once its header block has
+        # what the handler's last read waited for, as _Exchange.wants; before
+        # the handler has run, any byte
+        self.wants = 1, False
         self.reply = None  # the reply bytes not yet written, once there is one
         self.deadline = 0.0
 
-    def complete(self) -> bool:
-        """Whether data holds all that http.server reads of the request: it
-        reads the request line, then (unless it answers that line at once)
-        header lines up to a blank one, then a POST's Content-Length body; it
-        answers a line over _MAX_LINE or more than _MAX_HEADERS headers at
-        once, and a Content-Length it refuses without reading a body."""
-        data = self.data
-        while self.end is None:
-            start, stop = self.line, data.find(b"\n", self.line) + 1
-            if not stop:
-                return len(data) - start > _MAX_LINE
-            self.line = stop
-            self.lines += 1
-            if stop - start > _MAX_LINE or self.lines > _MAX_HEADERS + 1:
-                return True
-            if self.lines == 1:
-                words = data[:stop].decode("iso-8859-1").split()
-                if not _reads_headers(words):
-                    return True
-                self.head, self.post = stop, words[0] == "POST"
-            elif data[start:stop] in (b"\r\n", b"\n"):
-                head = http.client.parse_headers(io.BytesIO(data[self.head:stop]))
-                self.end = stop + (_body_length(head) if self.post else 0)
-        return len(data) >= self.end
-
 
 class _Server(HTTPServer):
-    """Serves every connection from one selector loop: it reads a request
-    until http.server has all it reads of it, runs the handler on a buffered
-    copy, and writes the reply without blocking, so an idle or slow client
-    costs a file descriptor, not a thread. Scoring runs inline in the loop."""
+    """Serves every connection from one selector loop: it runs the handler
+    on a connection's bytes whenever they hold what its last read waited
+    for, until a run reads all it needs, and writes the reply without
+    blocking, so an idle or slow client costs a file descriptor, not a
+    thread. Scoring runs inline in the loop."""
 
     # socketserver's listen backlog of 5 drops most connects of a burst
     request_queue_size = 128
@@ -227,28 +204,34 @@ class _Server(HTTPServer):
 
     def _read(self, conn) -> None:
         had = len(conn.data)
-        try:
-            while chunk := conn.sock.recv(_RECV_BYTES):
-                conn.data += chunk
-                if conn.complete():
-                    break
-        except BlockingIOError:  # the rest of the request has not arrived
-            if len(conn.data) > had:
-                self._touch(conn)
+        while True:
+            try:
+                chunk = conn.sock.recv(_RECV_BYTES)
+            except BlockingIOError:  # what the handler waits for has not arrived
+                if len(conn.data) > had:
+                    self._touch(conn)
+                return
+            except OSError as e:
+                self._lost(conn, e)
+                return
+            conn.data += chunk
+            end, line = conn.wants
+            if chunk and len(conn.data) < end and not (line and b"\n" in chunk):
+                continue
+            # the handler's reads are met, or the client has finished sending
+            exchange = _Exchange(conn.data, eof=not chunk)
+            try:
+                self.finish_request(exchange, conn.address)
+            except _Incomplete:
+                conn.wants = exchange.wants
+                continue
+            except Exception:
+                self.handle_error(conn.sock, conn.address)
+                self._close(conn)
+                return
+            conn.reply = memoryview(exchange.reply)
+            self._write(conn)
             return
-        except OSError as e:
-            self._lost(conn, e)
-            return
-        # complete, or the client has finished sending
-        exchange = _Exchange(bytes(conn.data))
-        try:
-            self.finish_request(exchange, conn.address)
-        except Exception:
-            self.handle_error(conn.sock, conn.address)
-            self._close(conn)
-            return
-        conn.reply = memoryview(exchange.reply)
-        self._write(conn)
 
     def _write(self, conn) -> None:
         left = len(conn.reply)
@@ -525,10 +508,17 @@ def make_handler(model: ModelGraph):
             else:
                 self.send_error(404, "not found")
 
+        def parse_request(self):
+            # then a POST's body, whatever its path, unless do_POST answers
+            # its Content-Length 400 or 413 without reading a body
+            if not super().parse_request():
+                return False
+            length = _content_length(self.headers)
+            post = self.command == "POST" and 0 <= length <= MAX_REQUEST_BODY
+            self.body = self.rfile.read(length) if post else b""
+            return True
+
         def do_POST(self):
-            # the body is read before the path is routed: the serving loop
-            # waits for _body_length bytes of every POST
-            raw = self.rfile.read(_body_length(self.headers))
             if self.path != "/check":
                 self.send_error(404, "not found")
                 return
@@ -540,7 +530,7 @@ def make_handler(model: ModelGraph):
                 self.send_error(413, "request body too large")
                 return
             try:
-                payload = json.loads(raw)
+                payload = json.loads(self.body)
                 url = payload["url"]
                 if not isinstance(url, str):
                     raise TypeError("url must be a string")

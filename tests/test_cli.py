@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import selectors
 import shlex
 import socket
 import struct
@@ -243,7 +244,7 @@ class TestPredictCommand:
         assert [json.loads(line)["url"] for line in outs[0].splitlines()] == ["http://a.b", "f"]
 
     def test_corrupt_model_exits_1(self, tmp_path, fixture_model_path):
-        blob = bytearray(open(fixture_model_path, "rb").read())
+        blob = bytearray(Path(fixture_model_path).read_bytes())
         blob[-10] ^= 0xFF
         bad = tmp_path / "bad.pdm"
         bad.write_bytes(bytes(blob))
@@ -651,12 +652,21 @@ class _Reads(io.BytesIO):
         super().close()
 
 
-class _Recorder(cli._Exchange):
-    """The loop's stand-in for a socket, keeping the handler's request file."""
+class _Recorder:
+    """A stand-in for a socket over a whole request, keeping the handler's
+    request file and its reply: the oracle for what http.server reads."""
+
+    def __init__(self, request: bytes):
+        self.rfile, self.reply = _Reads(request), bytearray()
 
     def makefile(self, mode, buffering=-1):
-        self.rfile = _Reads(self.request)
         return self.rfile
+
+    def sendall(self, data):
+        self.reply += data
+
+
+HTTP_MAX_LINE = 65536  # http.client's longest line; http.server answers a longer one 414 or 431
 
 
 LATIN1 = st.text(st.characters(max_codepoint=255), max_size=12)
@@ -687,7 +697,7 @@ def request_bytes(draw):
     elif extra == "headers":  # at and past http.client's limit of 100
         lines += ["X-A: b"] * draw(st.integers(98, 101))
     elif extra == "line":  # a line of 64 KiB, the longest http.server reads
-        lines.insert(draw(st.integers(0, 1)), "X" * draw(st.integers(cli._MAX_LINE - 3, cli._MAX_LINE)))
+        lines.insert(draw(st.integers(0, 1)), "X" * draw(st.integers(HTTP_MAX_LINE - 3, HTTP_MAX_LINE)))
     head = sep.join(lines).encode("latin-1") + sep.encode() * 2
     return head + draw(st.binary(max_size=40))
 
@@ -698,7 +708,50 @@ def _headers(*lines):
 
 @pytest.fixture(scope="module")
 def fixture_handler(fixture_model_path):
-    return make_handler(load_model(fixture_model_path))
+    """The serve handler, listing the do_<METHOD> calls it enters in `entered`."""
+
+    class Handler(make_handler(load_model(fixture_model_path))):
+        entered = []
+
+        def do_GET(self):
+            self.entered.append("GET")
+            super().do_GET()
+
+        def do_POST(self):
+            self.entered.append("POST")
+            super().do_POST()
+
+    return Handler
+
+
+@pytest.fixture(scope="module")
+def loop(fixture_handler):
+    """A serving loop's state without its select: a test adds a connection
+    and calls _read on it as select would."""
+    server = cli._Server(("127.0.0.1", 0), fixture_handler)
+    with server, selectors.DefaultSelector() as server._selector:
+        server._open = {}
+        yield server
+
+
+def received(sock):
+    """What the peer of a non-blocking sock sent before it closed, or None
+    while it has sent nothing and is still open."""
+    reply = b""
+    try:
+        while chunk := sock.recv(65536):
+            reply += chunk
+    except BlockingIOError:
+        assert not reply, "a reply without a close"
+        return None
+    except ConnectionResetError:  # a close with sent bytes unread
+        pass
+    return reply
+
+
+def status_and_body(reply):
+    head, _, body = bytes(reply).partition(b"\r\n\r\n")
+    return head.partition(b"\r\n")[0], body
 
 
 @settings(max_examples=300, deadline=None)
@@ -712,30 +765,56 @@ def fixture_handler(fixture_model_path):
 @example(data=_headers("POST /check HTTP/1.1", *["X-A: b"] * 98, "Content-Length: 5") + b"abcde", cuts=[])
 @example(data=_headers("POST /check HTTP/1.1", *["X-A: b"] * 99, "Content-Length: 5") + b"abcde", cuts=[])
 @example(data=_headers("POST /check HTTP/1.1", *["X-A: b"] * 100, "Content-Length: 5") + b"abcde", cuts=[])
-@example(data=_headers("GET /" + "a" * (cli._MAX_LINE - 16) + " HTTP/1.1"), cuts=[])
-@example(data=_headers("GET /" + "a" * (cli._MAX_LINE - 15) + " HTTP/1.1"), cuts=[])
-@example(data=_headers("GET / HTTP/1.1", "X" * (cli._MAX_LINE - 2)), cuts=[])
-@example(data=_headers("GET / HTTP/1.1", "X" * (cli._MAX_LINE - 1)), cuts=[])
-@example(data=_headers("GET / HTTP/1.1", "X" * (cli._MAX_LINE + 10)), cuts=[])
+@example(data=_headers("GET /" + "a" * (HTTP_MAX_LINE - 16) + " HTTP/1.1"), cuts=[])
+@example(data=_headers("GET /" + "a" * (HTTP_MAX_LINE - 15) + " HTTP/1.1"), cuts=[])
+@example(data=_headers("GET / HTTP/1.1", "X" * (HTTP_MAX_LINE - 2)), cuts=[])
+@example(data=_headers("GET / HTTP/1.1", "X" * (HTTP_MAX_LINE - 1)), cuts=[])
+@example(data=_headers("GET / HTTP/1.1", "X" * (HTTP_MAX_LINE + 10)), cuts=[])
 @example(data=_headers("POST /check HTTP/1.1", "Content-Length: 5", " 1") + b"abc", cuts=[])
 @example(data=_headers("POST /check HTTP/1.1", "Content-Length: 5\rX: 1") + b"abc", cuts=[])
 @example(data=_headers("POST /x HTTP/1.1", "Content-Length: 500"), cuts=[])
 @example(data=_headers("POST /check?x=1 HTTP/1.1", "Content-Length: 5") + b"abcde", cuts=[])
 @example(data=_headers("POST //check HTTP/1.0", "Content-Length: 5") + b"abc", cuts=[])
 @example(data=_headers("POST /x HTTP/1.1", "Content-Length: x"), cuts=[])
-def test_a_request_is_complete_once_http_server_has_read_all_it_reads(fixture_handler, data, cuts):
-    # http.server's reads on the request followed by more bytes than any
-    # read of it takes: what it reads of data is what the loop waits for
-    recorder = _Recorder(data + b"x" * (2 * cli._MAX_LINE))
+def test_a_request_is_complete_once_http_server_has_read_all_it_reads(fixture_handler, loop, data, cuts):
+    # the oracle: http.server's reads on the request followed by more bytes
+    # than any read of it takes
+    recorder = _Recorder(data + b"x" * (2 * HTTP_MAX_LINE))
     with redirect_stderr(io.StringIO()):
         fixture_handler(recorder, ("127.0.0.1", 0), None)
-    need = recorder.rfile.read_bytes
-    conn = cli._Connection(None, None)
-    # the loop sees data arrive in pieces, one of them ending just before need
+    need, entered = recorder.rfile.read_bytes, list(fixture_handler.entered)
+    fixture_handler.entered.clear()
+    # the loop reads data from a socket in pieces, one of them ending just before need
     ends = sorted({round(cut * len(data)) for cut in cuts} | {need - 1, need, len(data)})
     ends = [end for end in ends if 0 < end <= len(data)]
-    done = next((end for end in ends if conn.data.extend(data[len(conn.data):end]) or conn.complete()), None)
-    assert done == next((end for end in ends if end >= need), None)
+    server_end, client = socket.socketpair()
+    server_end.setblocking(False)
+    client.setblocking(False)
+    conn = cli._Connection(server_end, ("127.0.0.1", 0))
+    loop._selector.register(server_end, selectors.EVENT_READ, conn)
+    loop._touch(conn)
+    try:
+        with client, redirect_stderr(io.StringIO()):
+            for start, end in zip([0, *ends], ends):
+                client.sendall(data[start:end])
+                loop._read(conn)
+                reply = received(client)
+                if end < need:
+                    assert reply is None, (end, need)
+                else:
+                    assert reply is not None, (end, need)
+                    assert status_and_body(reply) == status_and_body(recorder.reply)
+                    break
+            else:  # the oracle read past data: the loop waits for the client to finish sending
+                assert need > len(data)
+                client.shutdown(socket.SHUT_WR)
+                loop._read(conn)
+                assert received(client)
+    finally:
+        if conn in loop._open:
+            loop._close(conn)
+    assert fixture_handler.entered == entered and len(entered) <= 1
+    fixture_handler.entered.clear()
 
 
 SMALL_TRAIN = ["--hidden", "4", "--embed", "3", "--max-len", "20"]
