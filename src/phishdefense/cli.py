@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -76,9 +77,9 @@ class _Exchange:
     def makefile(self, mode, buffering=-1):  # the handler's reading file; its writer calls sendall
         return self
 
-    def readline(self, limit=-1):
+    def readline(self, limit):
         end = self.data.find(b"\n", self.pos) + 1 or sys.maxsize
-        if 0 <= limit < end - self.pos:
+        if limit < end - self.pos:
             end = self.pos + limit
         return self._take(end, line=True)
 
@@ -149,7 +150,7 @@ class _Server(HTTPServer):
         self._open = {}
         try:
             with selectors.DefaultSelector() as self._selector:
-                self._selector.register(self.socket, selectors.EVENT_READ)
+                self._listen()
                 while not self._stopping:
                     timeout = poll_interval
                     if self._open:
@@ -166,6 +167,8 @@ class _Server(HTTPServer):
                     while self._open and (conn := next(iter(self._open))).deadline <= now:
                         _log(f"{conn.address[0]} - connection timed out: no byte for {REQUEST_TIMEOUT_S:g} s")
                         self._close(conn)
+                    if not self._open:  # no connection is left to close and free a descriptor
+                        self._listen()
                     self.service_actions()
         finally:
             for conn in self._open:
@@ -186,6 +189,12 @@ class _Server(HTTPServer):
         self._selector.unregister(conn.sock)
         del self._open[conn]
         self.shutdown_request(conn.sock)
+        self._listen()
+
+    def _listen(self) -> None:
+        """Poll the listening socket, unless it is polled already."""
+        if self.socket not in self._selector.get_map():
+            self._selector.register(self.socket, selectors.EVENT_READ)
 
     def _lost(self, conn, error: OSError) -> None:
         _log(f"{conn.address[0]} - connection lost: {error!r}")
@@ -194,7 +203,12 @@ class _Server(HTTPServer):
     def _accept(self) -> None:
         try:
             sock, address = self.socket.accept()
-        except OSError:  # another process took it, or its client gave up
+        except OSError as e:  # another process took it, or its client gave up
+            if e.errno in (errno.EMFILE, errno.ENFILE):
+                # the connection stays queued and the socket readable: poll it
+                # again once a connection closes and frees a descriptor
+                _log(f"serve: cannot accept a connection: {e}; accepting again once one closes")
+                self._selector.unregister(self.socket)
             return
         sock.setblocking(False)
         conn = _Connection(sock, address)

@@ -172,7 +172,7 @@ _RUN_PARTS = {"config": "model config", "train_config": "training config", "data
 def _load_checkpoint(path: str, m: ModelGraph, run: Dict[str, Dict]):
     """The current and best weights, Adam's two moments and the history."""
     try:  # np.load reads members lazily: the member reads can fail too
-        with np.load(path) as data:
+        with open(path, "rb") as fh, np.load(fh) as data:
             meta = json.loads(bytes(data["__meta__"]).decode())
             tensors = {k: data[k] for k in data.files if k != "__meta__"}
     except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as e:

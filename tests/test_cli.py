@@ -643,6 +643,48 @@ class TestServeLoop:
         assert reply.split()[1] == b"200" and json.loads(reply.partition(b"\r\n\r\n")[2])["url"] == "a"
         assert paths == ["/check"]
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the server's CPU time from /proc")
+    def test_out_of_file_descriptors_the_loop_waits_for_a_close(self, fixture_model_path):
+        # one serving process allowed 32 descriptors, and more idle clients
+        # than that: accept fails with EMFILE while the connections queue
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        child = (
+            "import os, resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_NOFILE, (32, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from phishdefense.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", child, "serve", "--model", fixture_model_path, "--bind", "127.0.0.1:0"],
+            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env, text=True,
+        )
+        idle = []
+        try:
+            port = int(re.search(r"serving on 127\.0\.0\.1:(\d+) ", proc.stderr.readline())[1])
+            idle = [socket.create_connection(("127.0.0.1", port), timeout=5) for _ in range(40)]
+            time.sleep(0.2)  # the loop accepts up to its limit
+
+            def cpu_s():
+                fields = Path(f"/proc/{proc.pid}/stat").read_text().rpartition(")")[2].split()
+                return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")  # utime + stime
+
+            start = cpu_s()
+            time.sleep(2)
+            assert cpu_s() - start < 0.2
+            for sock in idle:
+                sock.close()
+            r = requests.post(f"http://127.0.0.1:{port}/check", json={"url": "a"}, timeout=5)
+            assert r.status_code == 200
+        finally:
+            for sock in idle:
+                sock.close()
+            proc.kill()
+            err = proc.communicate(timeout=10)[1]
+        assert "cannot accept a connection: [Errno 24] Too many open files" in err
+        assert "Traceback" not in err
+
 
 class _Reads(io.BytesIO):
     """A request file that keeps, when closed, how many bytes were read."""
