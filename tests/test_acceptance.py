@@ -9,6 +9,7 @@ import io
 import json
 import time
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,7 +247,7 @@ def test_criterion_7_serialization(tmp_path):
         max_drift = max(max_drift, abs(s64 - s32))
     assert max_drift <= 1e-5
 
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     for _ in range(100):  # single-byte corruption always detected
         pos = int(rng.integers(12, len(blob)))
         orig = blob[pos]

@@ -1,5 +1,6 @@
 import hashlib
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ class TestSaveModel:
         p1, p2 = str(tmp_path / "a.pdm"), str(tmp_path / "b.pdm")
         save_model(m, p1)
         save_model(m, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 class TestLoadModel:
@@ -177,9 +178,9 @@ class TestLoadModel:
         m = small_model()
         path = str(tmp_path / "m.pdm")
         save_model(m, path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[4] = 99
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(ModelVersionError):
             load_model(str(path))
 
@@ -187,14 +188,14 @@ class TestLoadModel:
         m = small_model("gru", seed=1)
         path = str(tmp_path / "m.pdm")
         save_model(m, path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         rng = np.random.default_rng(0)
         # payload region: flips must raise corruption (or format for header bytes)
         for _ in range(200):
             pos = int(rng.integers(12, len(blob)))
             orig = blob[pos]
             blob[pos] ^= 0xFF
-            open(path, "wb").write(bytes(blob))
+            Path(path).write_bytes(bytes(blob))
             with pytest.raises(ModelFormatError):
                 load_model(str(path))
             blob[pos] = orig
@@ -203,7 +204,7 @@ class TestLoadModel:
         m = small_model("gru", seed=2)
         path = str(tmp_path / "m.pdm")
         save_model(m, path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         rng = np.random.default_rng(1)
         cuts = set(int(c) for c in rng.integers(0, len(blob), size=1000))
         for cut in cuts:
