@@ -69,8 +69,8 @@ class _Exchange:
     raises _Incomplete; once the client has finished sending, reads return
     short, as io.BytesIO does."""
 
-    def __init__(self, data, eof: bool):
-        self.data, self.eof, self.pos = data, eof, 0
+    def __init__(self, conn, eof: bool):
+        self.data, self.reads, self.eof, self.pos = conn.data, conn.reads, eof, 0
         self.reply = bytearray()
         self.wants = None  # (end, line): data up to end, or with line, a line break
 
@@ -90,7 +90,10 @@ class _Exchange:
         if end > len(self.data) and not self.eof:
             self.wants = end, line
             raise _Incomplete
-        chunk = bytes(self.data[self.pos:end])
+        # data only grows, so what an earlier run read is kept, not copied again
+        chunk = self.reads.get((self.pos, end))
+        if chunk is None:
+            chunk = self.reads[self.pos, end] = bytes(self.data[self.pos:end])
         self.pos += len(chunk)
         return chunk
 
@@ -108,6 +111,7 @@ class _Connection:
     def __init__(self, sock, address):
         self.sock, self.address = sock, address
         self.data = bytearray()
+        self.reads = {}  # the handler's reads of data, by (start, end)
         # what the handler's last read waited for, as _Exchange.wants; before
         # the handler has run, any byte
         self.wants = 1, False
@@ -233,7 +237,7 @@ class _Server(HTTPServer):
             if chunk and len(conn.data) < end and not (line and b"\n" in chunk):
                 continue
             # the handler's reads are met, or the client has finished sending
-            exchange = _Exchange(conn.data, eof=not chunk)
+            exchange = _Exchange(conn, eof=not chunk)
             try:
                 self.finish_request(exchange, conn.address)
             except _Incomplete:
