@@ -156,6 +156,7 @@ class _Server(HTTPServer):
             with selectors.DefaultSelector() as self._selector:
                 self._listen()
                 while not self._stopping:
+                    paused = self.socket not in self._selector.get_map()
                     timeout = poll_interval
                     if self._open:
                         timeout = min(timeout, max(next(iter(self._open)).deadline - time.monotonic(), 0.0))
@@ -171,7 +172,7 @@ class _Server(HTTPServer):
                     while self._open and (conn := next(iter(self._open))).deadline <= now:
                         _log(f"{conn.address[0]} - connection timed out: no byte for {REQUEST_TIMEOUT_S:g} s")
                         self._close(conn)
-                    if not self._open:  # no connection is left to close and free a descriptor
+                    if paused and not self._open:  # out of descriptors with none to free: retry after a poll
                         self._listen()
                     self.service_actions()
         finally:
