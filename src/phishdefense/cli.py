@@ -49,30 +49,29 @@ STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)
 _CONTROL_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
 
 
-def _content_length(headers) -> int:
-    """A request's Content-Length, or -1 where it is not an integer."""
-    try:
-        return int(headers.get("Content-Length", "0"))
-    except ValueError:
-        return -1
-
-
 class _Incomplete(Exception):
     """The handler read past the bytes its client has sent so far."""
 
 
-class _Exchange:
-    """A connection's bytes received so far, in the shape of the socket a
-    StreamRequestHandler writes and of the file it reads: its reply collects
-    in `reply`, so it never waits on the client. A read past those bytes,
-    while the client may still send, keeps in `wants` what it waited for and
-    raises _Incomplete; once the client has finished sending, reads return
-    short, as io.BytesIO does."""
+class _Connection:
+    """A client's connection, in the shape of the socket a
+    StreamRequestHandler writes and of the file it reads. The handler reads
+    the bytes received so far from `pos`, and its reply collects in `reply`,
+    so it never waits on the client; the loop then writes the reply as it
+    drains. A read past those bytes, while the client may still send, keeps
+    in `wants` what it waited for and raises _Incomplete; once the client has
+    finished sending (`eof`), reads return short, as io.BytesIO does."""
 
-    def __init__(self, conn, eof: bool):
-        self.data, self.reads, self.eof, self.pos = conn.data, conn.reads, eof, 0
+    def __init__(self, sock, address):
+        self.sock, self.address = sock, address
+        self.data = bytearray()
+        self.reads = {}  # the handler's reads of data, by (start, end)
+        # what the handler's last read waited for: data up to end, or with
+        # line, a line break; before the handler has run, any byte
+        self.wants = 1, False
+        self.eof, self.pos = False, 0
         self.reply = bytearray()
-        self.wants = None  # (end, line): data up to end, or with line, a line break
+        self.deadline = 0.0
 
     def makefile(self, mode, buffering=-1):  # the handler's reading file; its writer calls sendall
         return self
@@ -100,23 +99,8 @@ class _Exchange:
     def sendall(self, data):
         self.reply += data
 
-    def close(self):  # the loop closes the connection
+    def close(self):  # the loop closes the socket
         pass
-
-
-class _Connection:
-    """A client's connection: its request as it arrives, then its reply as
-    it drains."""
-
-    def __init__(self, sock, address):
-        self.sock, self.address = sock, address
-        self.data = bytearray()
-        self.reads = {}  # the handler's reads of data, by (start, end)
-        # what the handler's last read waited for, as _Exchange.wants; before
-        # the handler has run, any byte
-        self.wants = 1, False
-        self.reply = None  # the reply bytes not yet written, once there is one
-        self.deadline = 0.0
 
 
 class _Server(HTTPServer):
@@ -160,14 +144,14 @@ class _Server(HTTPServer):
                     timeout = poll_interval
                     if self._open:
                         timeout = min(timeout, max(next(iter(self._open)).deadline - time.monotonic(), 0.0))
-                    for key, _ in self._selector.select(timeout):
+                    for key, events in self._selector.select(timeout):
                         conn = key.data
                         if conn is None:
                             self._accept()
-                        elif conn.reply is None:
-                            self._read(conn)
-                        else:
+                        elif events & selectors.EVENT_WRITE:
                             self._write(conn)
+                        else:
+                            self._read(conn)
                     now = time.monotonic()
                     while self._open and (conn := next(iter(self._open))).deadline <= now:
                         _log(f"{conn.address[0]} - connection timed out: no byte for {REQUEST_TIMEOUT_S:g} s")
@@ -238,17 +222,15 @@ class _Server(HTTPServer):
             if chunk and len(conn.data) < end and not (line and b"\n" in chunk):
                 continue
             # the handler's reads are met, or the client has finished sending
-            exchange = _Exchange(conn, eof=not chunk)
+            conn.eof, conn.pos, conn.reply = not chunk, 0, bytearray()
             try:
-                self.finish_request(exchange, conn.address)
+                self.finish_request(conn, conn.address)
             except _Incomplete:
-                conn.wants = exchange.wants
                 continue
             except Exception:
                 self.handle_error(conn.sock, conn.address)
                 self._close(conn)
                 return
-            conn.reply = memoryview(exchange.reply)
             self._write(conn)
             return
 
@@ -256,7 +238,7 @@ class _Server(HTTPServer):
         left = len(conn.reply)
         try:
             while conn.reply:
-                conn.reply = conn.reply[conn.sock.send(conn.reply):]
+                del conn.reply[:conn.sock.send(conn.reply)]
         except BlockingIOError:  # the client's window is full: wait for it to read
             self._selector.modify(conn.sock, selectors.EVENT_WRITE, conn)
             if len(conn.reply) < left:
@@ -532,20 +514,24 @@ def make_handler(model: ModelGraph):
             # its Content-Length 400 or 413 without reading a body
             if not super().parse_request():
                 return False
-            length = _content_length(self.headers)
-            post = self.command == "POST" and 0 <= length <= MAX_REQUEST_BODY
-            self.body = self.rfile.read(length) if post else b""
+            # Content-Length is 1*DIGIT in one field (RFC 9110 8.6), or -1
+            value = ", ".join(self.headers.get_all("Content-Length", ["0"])).strip()
+            try:
+                self.length = int(value) if value.isascii() and value.isdigit() else -1
+            except ValueError:  # more digits than int() converts
+                self.length = -1
+            post = self.command == "POST" and 0 <= self.length <= MAX_REQUEST_BODY
+            self.body = self.rfile.read(self.length) if post else b""
             return True
 
         def do_POST(self):
             if self.path != "/check":
                 self.send_error(404, "not found")
                 return
-            length = _content_length(self.headers)
-            if length < 0:  # reply without reading a body of unknown size
+            if self.length < 0:  # reply without reading a body of unknown size
                 self.send_error(400, "bad request: invalid Content-Length")
                 return
-            if length > MAX_REQUEST_BODY:
+            if self.length > MAX_REQUEST_BODY:
                 self.send_error(413, "request body too large")
                 return
             try:

@@ -433,7 +433,10 @@ class TestServe:
         r = requests.post(http_server + "/check", json={"link": "x"}, timeout=5)
         assert r.status_code == 400
 
-    @pytest.mark.parametrize("length", ["abc", "-1"])
+    # Content-Length is 1*DIGIT in one field: int() would take "1_2" and "+12"
+    @pytest.mark.parametrize("length", ["abc", "-1", "1_2", "+12",
+                                        pytest.param("12\r\nContent-Length: 500", id="two-fields"),
+                                        pytest.param("9" * 5000, id="more-digits-than-int-takes")])
     def test_bad_content_length_400(self, http_server, length):
         # raw socket: the reply must come without the server reading a body
         host, _, port = http_server[len("http://"):].partition(":")
