@@ -7,6 +7,7 @@ HTTP request gets a JSON reply or a closed connection."""
 import argparse
 import io
 import json
+import os
 import socket
 import struct
 import sys
@@ -412,9 +413,15 @@ def argv(files):
 @given(data=st.data())
 def test_any_command_line_exits_0_1_or_2(argv_files, data):
     args = data.draw(argv(argv_files), label="argv")
-    with mock.patch.object(sys, "stdin", io.StringIO("http://a.example/\n")):
-        try:
-            code = run(args)[0]
-        except SystemExit as e:  # argparse: a usage error, or --help
-            code = e.code
+    # a value of any text may be a relative output path: keep it in the test's directory
+    cwd = os.getcwd()
+    os.chdir(argv_files["out"])
+    try:
+        with mock.patch.object(sys, "stdin", io.StringIO("http://a.example/\n")):
+            try:
+                code = run(args)[0]
+            except SystemExit as e:  # argparse: a usage error, or --help
+                code = e.code
+    finally:
+        os.chdir(cwd)
     assert code in (0, 1, 2)
