@@ -10,26 +10,6 @@ from hypothesis import settings
 settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    from phishdefense.errors import ShapeError
-
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def tanh_act(x):
-    """Hyperbolic tangent, elementwise (np.tanh is stable at extremes)."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.tanh(x)
-    return out if out.ndim else float(out)
-
-
 def softmax(v: np.ndarray) -> np.ndarray:
     """Shift-invariant softmax along the last axis."""
     from phishdefense.errors import ShapeError

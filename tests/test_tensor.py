@@ -4,33 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import finite_diff_grad, matmul, softmax, tanh_act
+from conftest import finite_diff_grad, softmax
 from phishdefense.errors import NumericError, ShapeError
 from phishdefense.tensor import AdamState, adam_step, orthogonal_init, sigmoid, xavier_init
-
-
-class TestMatmul:
-    def test_identity(self):
-        eye = np.eye(2)
-        np.testing.assert_array_equal(matmul(eye, eye), eye)
-
-    def test_hand_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0], [1.0]])
-        np.testing.assert_array_equal(matmul(a, b), [[2.0], [4.0]])
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_associativity_on_random_triples(self, rng):
-        for _ in range(20):
-            a = rng.standard_normal((3, 4))
-            b = rng.standard_normal((4, 5))
-            c = rng.standard_normal((5, 2))
-            lhs = matmul(matmul(a, b), c)
-            rhs = matmul(a, matmul(b, c))
-            assert np.max(np.abs(lhs - rhs)) / max(np.max(np.abs(lhs)), 1e-30) < 1e-9
 
 
 class TestActivations:
@@ -48,14 +24,6 @@ class TestActivations:
     @given(st.floats(min_value=-700, max_value=700))
     def test_sigmoid_symmetry(self, x):
         assert sigmoid(x) + sigmoid(-x) == pytest.approx(1.0, abs=1e-12)
-
-    def test_tanh_zero_and_closed_form(self):
-        assert tanh_act(0.0) == 0.0
-        assert tanh_act(1.0) == pytest.approx(0.7615941560, abs=1e-10)
-
-    @given(st.floats(min_value=-50, max_value=50))
-    def test_tanh_oddness(self, x):
-        assert tanh_act(-x) == pytest.approx(-tanh_act(x), abs=1e-15)
 
 
 class TestSoftmax:
