@@ -270,8 +270,6 @@ def _scan(
 ) -> Tuple[np.ndarray, Cache]:
     """The packed forward scan of both cells; returns (final states (S, batch, h), cache)."""
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim == 2:
-        xs = xs[None, :, :]
     if xs.ndim != 3 or xs.shape[1] == 0:
         raise ShapeError(f"{who}: need (batch, time>=1, dim), got {xs.shape}")
     b, width, d = xs.shape
