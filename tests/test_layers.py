@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import finite_diff_grad, gate, gru_step, lstm_step, oracle_gru_step, oracle_lstm_step
+from conftest import finite_diff_grad, gate, gru_step, lstm_step
 from phishdefense.errors import ShapeError
 from phishdefense.layers import (
     GruParams,
     LstmParams,
     _gate_major,
     _scan,
-    dense_backward,
     dense_forward,
     dropout,
     embedding_backward,
@@ -26,10 +25,6 @@ def zero_lstm(d, h):
     return LstmParams.from_dict({n: np.zeros(shape) for n, shape in LstmParams.shapes(d, h)})
 
 
-def zero_gru(d, h):
-    return GruParams.from_dict({n: np.zeros(shape) for n, shape in GruParams.shapes(d, h)})
-
-
 class TestLstmStep:
     def test_zero_weights(self):
         p = zero_lstm(3, 4)
@@ -40,24 +35,6 @@ class TestLstmStep:
         np.testing.assert_allclose(cache["c_tilde"], 0.0)
         np.testing.assert_allclose(c, 0.0)
         np.testing.assert_allclose(h, 0.0)
-
-    def test_cell_carry_with_saturated_gates(self, rng):
-        p = LstmParams.init(3, 4, seed=5)
-        gate(p, "b_f")[:] = 50.0   # f -> 1
-        gate(p, "b_i")[:] = -50.0  # i -> 0
-        c_prev = rng.standard_normal(4)
-        _, c, _ = lstm_step(p, rng.standard_normal(3), rng.standard_normal(4), c_prev)
-        np.testing.assert_allclose(c[0], c_prev, atol=1e-6)
-
-    def test_matches_scalar_oracle(self):
-        p = LstmParams.init(3, 4, seed=42)
-        x = np.ones(3)
-        h0 = np.zeros(4)
-        c0 = np.zeros(4)
-        h, c, _ = lstm_step(p, x, h0, c0)
-        oh, oc = oracle_lstm_step(p, x, h0, c0)
-        np.testing.assert_allclose(h[0], oh, atol=1e-12)
-        np.testing.assert_allclose(c[0], oc, atol=1e-12)
 
     def test_gate_ranges_random_inputs(self, rng):
         p = LstmParams.init(5, 6, seed=1)
@@ -70,21 +47,8 @@ class TestLstmStep:
             assert np.all(np.abs(cache["c_tilde"]) < 1)
             assert np.all(np.abs(cache["h"]) < 1)
 
-    def test_shape_error(self):
-        p = zero_lstm(3, 4)
-        with pytest.raises(ShapeError):
-            lstm_step(p, np.ones(2), np.zeros(4), np.zeros(4))
-
 
 class TestLstmForward:
-    def test_length_one_equals_step(self, rng):
-        p = LstmParams.init(3, 4, seed=2)
-        x = rng.standard_normal((1, 1, 3))
-        (h, c), _ = lstm_forward(p, x)
-        hs, cs, _ = lstm_step(p, x[:, 0, :], np.zeros((1, 4)), np.zeros((1, 4)))
-        np.testing.assert_array_equal(h, hs)
-        np.testing.assert_array_equal(c, cs)
-
     def test_chained_steps(self, rng):
         p = LstmParams.init(3, 4, seed=3)
         xs = rng.standard_normal((1, 5, 3))
@@ -105,23 +69,6 @@ class TestLstmForward:
         with pytest.raises(ShapeError):
             lstm_forward(zero_lstm(3, 4), np.zeros((1, 0, 3)))
 
-    def test_masked_carry_matches_short_run(self, rng):
-        p = LstmParams.init(3, 4, seed=6)
-        xs = rng.standard_normal((1, 7, 3))
-        (h_masked, c_masked), _ = lstm_forward(p, xs, lens=np.array([4]))
-        (h_short, c_short), _ = lstm_forward(p, xs[:, :4, :])
-        np.testing.assert_allclose(h_masked, h_short, atol=1e-15)
-        np.testing.assert_allclose(c_masked, c_short, atol=1e-15)
-
-        # a batch of mixed lengths: each row ends where its own short run does
-        lens = np.array([7, 2, 5, 1])
-        xs = rng.standard_normal((len(lens), 7, 3))
-        (h_masked, c_masked), _ = lstm_forward(p, xs, lens=lens)
-        for row, n in enumerate(lens):
-            (h_short, c_short), _ = lstm_forward(p, xs[row : row + 1, :n, :])
-            np.testing.assert_allclose(h_masked[row], h_short[0], atol=1e-15)
-            np.testing.assert_allclose(c_masked[row], c_short[0], atol=1e-15)
-
     def test_cell_carry_over_sequence(self, rng):
         p = LstmParams.init(3, 4, seed=7)
         gate(p, "b_f")[:] = 60.0
@@ -132,46 +79,6 @@ class TestLstmForward:
 
 
 class TestLstmBackward:
-    def test_zero_upstream(self, rng):
-        p = LstmParams.init(3, 4, seed=8)
-        _, caches = lstm_forward(p, rng.standard_normal((2, 5, 3)))
-        grads, dxs = lstm_backward(caches, np.zeros((2, 4)))
-        for g in grads.values():
-            assert np.all(g == 0)
-        assert np.all(dxs == 0)
-
-    def test_gradcheck_all_tensors(self, rng):
-        p = LstmParams.init(3, 4, seed=9)
-        xs = rng.standard_normal((2, 5, 3))
-        lens = np.array([5, 3])
-        (h, _), caches = lstm_forward(p, xs, lens=lens)
-        grads, _ = lstm_backward(caches, np.ones_like(h))
-
-        def loss_fn(params):
-            q = LstmParams.from_dict(params)
-            (hf, _), _ = lstm_forward(q, xs, lens=lens)
-            return float(hf.sum())
-
-        fd = finite_diff_grad(loss_fn, p.to_dict())
-        for name, ana in grads.items():
-            num = fd[name]
-            err = np.abs(num - ana) / np.maximum(np.abs(num), 1e-7)
-            assert np.max(err) < 1e-4, name
-
-    def test_input_gradcheck(self, rng):
-        p = LstmParams.init(2, 3, seed=10)
-        xs = rng.standard_normal((1, 4, 2))
-        (h, _), caches = lstm_forward(p, xs)
-        _, dxs = lstm_backward(caches, np.ones_like(h))
-
-        def loss_fn(params):
-            (hf, _), _ = lstm_forward(p, params["x"])
-            return float(hf.sum())
-
-        fd = finite_diff_grad(loss_fn, {"x": xs})
-        err = np.abs(fd["x"] - dxs) / np.maximum(np.abs(fd["x"]), 1e-7)
-        assert np.max(err) < 1e-4
-
     def test_single_step_output_gate_chain(self):
         # h = 1, freeze f/i/c paths with zero inputs so only the o-gate
         # bias is live: h = sigmoid(b_o) * tanh(c), c = i * c_tilde = 0.
@@ -188,13 +95,6 @@ class TestLstmBackward:
 
 
 class TestGruStep:
-    def test_update_gate_saturated_keeps_state(self, rng):
-        p = GruParams.init(3, 4, seed=4)
-        gate(p, "b_z")[:] = 50.0  # z -> 1
-        h_prev = rng.standard_normal(4)
-        h, _ = gru_step(p, rng.standard_normal(3), h_prev)
-        np.testing.assert_allclose(h[0], h_prev, atol=1e-6)
-
     def test_reset_one_update_zero(self, rng):
         p = GruParams.init(3, 4, seed=5)
         gate(p, "b_z")[:] = -50.0  # z -> 0
@@ -205,13 +105,6 @@ class TestGruStep:
         expected = np.tanh(x @ gate(p, "W_h") + h_prev @ gate(p, "U_h") + gate(p, "b_h"))
         np.testing.assert_allclose(h[0], expected, atol=1e-6)
 
-    def test_matches_scalar_oracle(self):
-        p = GruParams.init(3, 4, seed=7)
-        x = np.ones(3)
-        h_prev = np.zeros(4)
-        h, _ = gru_step(p, x, h_prev)
-        np.testing.assert_allclose(h[0], oracle_gru_step(p, x, h_prev), atol=1e-12)
-
     def test_convex_combination_bound(self, rng):
         p = GruParams.init(4, 5, seed=8)
         for _ in range(20):
@@ -220,56 +113,6 @@ class TestGruStep:
             lo = np.minimum(cache["h_tilde"][0], h_prev)
             hi = np.maximum(cache["h_tilde"][0], h_prev)
             assert np.all(h[0] >= lo - 1e-12) and np.all(h[0] <= hi + 1e-12)
-
-
-class TestGruForwardBackward:
-    def test_length_one_equals_step(self, rng):
-        p = GruParams.init(3, 4, seed=9)
-        x = rng.standard_normal((1, 1, 3))
-        h, _ = gru_forward(p, x)
-        hs, _ = gru_step(p, x[:, 0, :], np.zeros((1, 4)))
-        np.testing.assert_array_equal(h, hs)
-
-    def test_zero_upstream(self, rng):
-        p = GruParams.init(3, 4, seed=10)
-        _, caches = gru_forward(p, rng.standard_normal((2, 5, 3)))
-        grads, dxs = gru_backward(caches, np.zeros((2, 4)))
-        for g in grads.values():
-            assert np.all(g == 0)
-        assert np.all(dxs == 0)
-
-    def test_gradcheck_all_tensors(self, rng):
-        p = GruParams.init(3, 4, seed=11)
-        xs = rng.standard_normal((2, 5, 3))
-        lens = np.array([5, 2])
-        h, caches = gru_forward(p, xs, lens=lens)
-        grads, _ = gru_backward(caches, np.ones_like(h))
-
-        def loss_fn(params):
-            q = GruParams.from_dict(params)
-            hf, _ = gru_forward(q, xs, lens=lens)
-            return float(hf.sum())
-
-        fd = finite_diff_grad(loss_fn, p.to_dict())
-        for name, ana in grads.items():
-            num = fd[name]
-            err = np.abs(num - ana) / np.maximum(np.abs(num), 1e-7)
-            assert np.max(err) < 1e-4, name
-
-    def test_masked_carry_matches_short_run(self, rng):
-        p = GruParams.init(3, 4, seed=12)
-        xs = rng.standard_normal((1, 6, 3))
-        h_masked, _ = gru_forward(p, xs, lens=np.array([3]))
-        h_short, _ = gru_forward(p, xs[:, :3, :])
-        np.testing.assert_allclose(h_masked, h_short, atol=1e-15)
-
-        # a batch of mixed lengths: each row ends where its own short run does
-        lens = np.array([6, 1, 4, 3])
-        xs = rng.standard_normal((len(lens), 6, 3))
-        h_masked, _ = gru_forward(p, xs, lens=lens)
-        for row, n in enumerate(lens):
-            h_short, _ = gru_forward(p, xs[row : row + 1, :n, :])
-            np.testing.assert_allclose(h_masked[row], h_short[0], atol=1e-15)
 
 
 # rows in unsorted length order, with a zero-length row and a tie
@@ -307,6 +150,21 @@ class TestPackedScan:
             short, _ = packed_run(kind, p, xs[row : row + 1, :n, :], None, own)
             for got, want in zip(final, short):
                 np.testing.assert_allclose(got[row], want[0], atol=1e-15)
+
+    def test_length_one_equals_step(self, kind, rng):
+        p, xs, state0 = self.setup_case(kind, rng, seed=2)
+        own = tuple(s0[:1] for s0 in state0)
+        final, _ = packed_run(kind, p, xs[:1, :1], None, own)
+        *want, _ = (lstm_step if kind == "lstm" else gru_step)(p, xs[0, :1], *own)
+        for got, w in zip(final, want):
+            np.testing.assert_array_equal(got, w)
+
+    def test_zero_upstream(self, kind, rng):
+        p, xs, state0 = self.setup_case(kind, rng, seed=10)
+        _, cache = packed_run(kind, p, xs, PACKED_LENS, state0)
+        grads, dxs = PACKED_CELLS[kind][2](cache, np.zeros((len(PACKED_LENS), 4)))
+        for g in [*grads.values(), dxs]:
+            assert np.all(g == 0)
 
     def test_input_gradient_zero_at_padding_and_cache_kept(self, kind, rng):
         p, xs, state0 = self.setup_case(kind, rng, seed=14)
@@ -505,22 +363,6 @@ class TestDense:
         x = rng.standard_normal((2, 4))
         out, _ = dense_forward(np.eye(4), np.zeros(4), x, "none")
         np.testing.assert_allclose(out, x)
-
-    def test_gradcheck(self, rng):
-        w = rng.standard_normal((3, 2))
-        b = rng.standard_normal(2)
-        x = rng.standard_normal((4, 3))
-        out, cache = dense_forward(w, b, x, "none")
-        d_pre = np.ones_like(out)
-        dw, db, dx = dense_backward(cache, d_pre)
-
-        fd = finite_diff_grad(
-            lambda ps: float(dense_forward(ps["w"], ps["b"], ps["x"], "none")[0].sum()),
-            {"w": w, "b": b, "x": x},
-        )
-        np.testing.assert_allclose(dw, fd["w"], atol=1e-6)
-        np.testing.assert_allclose(db, fd["b"], atol=1e-6)
-        np.testing.assert_allclose(dx, fd["x"], atol=1e-6)
 
     def test_shape_error(self):
         with pytest.raises(ShapeError):
