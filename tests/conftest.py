@@ -1,6 +1,14 @@
 import math
+import os
 import struct
 import zlib
+
+# OpenBLAS picks its kernels per CPU once, when numpy loads it, and the last
+# bits of a product follow the kernel's summation order: the bit pins of
+# test_pinned_arithmetic.py were recorded under the Haswell kernels, which
+# need AVX2, as every GitHub-hosted x86-64 runner has. Must come before numpy
+# is imported.
+os.environ.setdefault("OPENBLAS_CORETYPE", "Haswell")
 
 import numpy as np
 import pytest
@@ -81,17 +89,9 @@ def gate(p, name: str) -> np.ndarray:
     return p.to_dict()[name]
 
 
-def _step_inputs(p, x_t, state, who):
-    from phishdefense.errors import ShapeError
-
+def _step_inputs(p, x_t, state):
     x_t = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
-    if x_t.shape[1] != p.input_dim:
-        raise ShapeError(f"{who}: input dim {x_t.shape[1]} != expected {p.input_dim}")
     state = [np.atleast_2d(np.asarray(s, dtype=np.float64)) for s in state]
-    if any(s.shape[1] != p.hidden_dim for s in state):
-        raise ShapeError(
-            f"{who}: state dims {[s.shape for s in state]} != hidden {p.hidden_dim}"
-        )
     # the step takes its pre-activations gate-major, as the scan hands them
     rows = x_t @ p.W + p.b
     gates = rows.reshape(len(rows), -1, p.hidden_dim).transpose(1, 0, 2)
@@ -100,7 +100,7 @@ def _step_inputs(p, x_t, state, who):
 
 def lstm_step(p, x_t, h_prev, c_prev):
     """One LSTM step through the cell the scan runs; returns (h, c, gates)."""
-    a, prev = _step_inputs(p, x_t, (h_prev, c_prev), "lstm_step")
+    a, prev = _step_inputs(p, x_t, (h_prev, c_prev))
     out = np.empty((2, a.shape[1], p.hidden_dim))
     p.step(a, prev, out)
     f, i, c_tilde, o = a
@@ -109,7 +109,7 @@ def lstm_step(p, x_t, h_prev, c_prev):
 
 def gru_step(p, x_t, h_prev):
     """One GRU step through the cell the scan runs; returns (h, gates)."""
-    a, prev = _step_inputs(p, x_t, (h_prev,), "gru_step")
+    a, prev = _step_inputs(p, x_t, (h_prev,))
     out = np.empty((1, a.shape[1], p.hidden_dim))
     p.step(a, prev, out)
     z, r, h_tilde = a
