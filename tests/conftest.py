@@ -18,18 +18,6 @@ from hypothesis import settings
 settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
-def softmax(v: np.ndarray) -> np.ndarray:
-    """Shift-invariant softmax along the last axis."""
-    from phishdefense.errors import ShapeError
-
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise ShapeError("softmax of an empty vector")
-    shifted = v - np.max(v, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
-
-
 def finite_diff_grad(loss_fn, params, h: float = 1e-5):
     """Central-difference gradient of loss_fn over every coordinate.
 

@@ -294,14 +294,6 @@ class TestEvalCommand:
 
 
 class TestBenchCommand:
-    def test_latency_json(self, fixture_model_path):
-        code, out = run_cli(["bench", "--model", fixture_model_path, "--reps", "5"])
-        assert code == 0
-        stats = json.loads(out)
-        assert stats["repetitions"] == 5
-        assert 0 < stats["mean"]
-        assert stats["p50"] <= stats["p95"] * 1.0001
-
     def test_url_file_without_urls_exits_2(self, fixture_model_path, tmp_path):
         empty = tmp_path / "empty.txt"
         empty.write_text("\n   \n", encoding="utf-8")
@@ -482,9 +474,11 @@ class TestServe:
                     f"POST /check HTTP/1.1\r\nHost: {host}\r\n"
                     f"Content-Length: 50\r\n\r\n".encode() + b'{"url"'
                 )
+            t0 = time.monotonic()
             for sock in clients:
                 with sock:
                     assert sock.recv(4096) == b""
+            assert time.monotonic() - t0 < 4 * cli.REQUEST_TIMEOUT_S
             r = requests.post(base + "/check", json={"url": "a"}, timeout=5)
             assert r.status_code == 200
 

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -30,48 +29,9 @@ class TestDefaultVocab:
 
 
 class TestEncodeUrl:
-    def test_basic_padding(self):
-        enc = encode_url("ab", VOCAB, 5)
-        np.testing.assert_array_equal(enc.ids, [67, 68, 0, 0, 0])
-        assert enc.true_len == 2
-
-    def test_empty_string(self):
-        enc = encode_url("", VOCAB, 3)
-        np.testing.assert_array_equal(enc.ids, [0, 0, 0])
-        assert enc.true_len == 0
-
-    def test_truncation_keeps_head(self):
-        enc = encode_url("xyz", VOCAB, 2)
-        assert enc.true_len == 2
-        np.testing.assert_array_equal(enc.ids, [id_for(VOCAB, "x"), id_for(VOCAB, "y")])
-
-    def test_non_ascii_maps_to_unk(self):
-        enc = encode_url("aéb\n", VOCAB, 10)
-        assert enc.ids[1] == UNK_ID
-        assert enc.ids[3] == UNK_ID
-
-    def test_case_preserved(self):
-        upper = encode_url("ABC", VOCAB, 5)
-        lower = encode_url("abc", VOCAB, 5)
-        assert not np.array_equal(upper.ids, lower.ids)
-
     def test_max_len_validation(self):
         with pytest.raises(ValueError):
             encode_url("x", VOCAB, 0)
-
-    @given(st.text())
-    def test_total_over_unicode(self, s):
-        enc = encode_url(s, VOCAB, 16)
-        assert enc.ids.shape == (16,)
-        assert np.all(enc.ids < VOCAB.size)
-        assert np.all(enc.ids[enc.true_len :] == PAD_ID)
-        assert np.all(enc.ids[: enc.true_len] != PAD_ID) or enc.true_len == 0
-
-    @given(st.text())
-    def test_deterministic(self, s):
-        a = encode_url(s, VOCAB, 12)
-        b = encode_url(s, VOCAB, 12)
-        assert np.array_equal(a.ids, b.ids) and a.true_len == b.true_len
 
     @given(st.text(max_size=40), st.integers(1, 30))
     def test_equals_per_character_lookup(self, s, max_len):

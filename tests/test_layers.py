@@ -342,12 +342,12 @@ class TestDropout:
         np.testing.assert_array_equal(out, x)
         assert mask is None
 
-    def test_train_statistics(self):
-        x = np.ones((1, 10000))
-        out, _ = dropout(x, 0.5, np.random.default_rng(3))
-        frac = np.mean(out != 0)
-        assert 0.47 <= frac <= 0.53
-        assert abs(out.mean() - 1.0) < 0.05
+    def test_train_mask_is_the_seeded_draw(self, rng):
+        x = rng.standard_normal((4, 8))
+        out, mask = dropout(x, 0.2, np.random.default_rng(3))
+        want = (np.random.default_rng(3).random(x.shape) >= 0.2) / (1 - 0.2)
+        np.testing.assert_array_equal(mask, want)
+        np.testing.assert_array_equal(out, x * want)
 
     def test_bad_rate(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import param_count, softmax
+from conftest import param_count
 from phishdefense.codec import default_vocab
 from phishdefense.data import LabeledDataset
 from phishdefense.errors import ConfigError
@@ -119,7 +119,7 @@ class TestHead:
         ids = rng.integers(0, 10, size=(5, 6))
         probs, caches = forward_batch(m, ids, np.array([6, 5, 3, 1, 6]))
         z = caches["dense"][-1]["out"]
-        np.testing.assert_allclose(probs, softmax(z)[:, 1], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(probs, np.exp(z[:, 1]) / np.exp(z).sum(axis=1), rtol=0, atol=1e-15)
 
     def test_softmax_pair_on_a_single_dense_layer(self, tmp_path, rng):
         m = build_model(tiny_config("lstm", dense_dims=(2,)))
@@ -132,7 +132,7 @@ class TestHead:
         lens = np.array([6, 2, 4])
         p_loaded, caches = forward_batch(loaded, ids, lens)
         z = caches["dense"][-1]["out"]
-        np.testing.assert_allclose(p_loaded, softmax(z)[:, 1], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(p_loaded, np.exp(z[:, 1]) / np.exp(z).sum(axis=1), rtol=0, atol=1e-15)
         p_source, _ = forward_batch(m, ids, lens)
         np.testing.assert_allclose(p_loaded, p_source, rtol=0, atol=1e-5)
 

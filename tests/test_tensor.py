@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import finite_diff_grad, softmax
+from conftest import finite_diff_grad
 from phishdefense.errors import NumericError, ShapeError
 from phishdefense.tensor import AdamState, adam_step, orthogonal_init, sigmoid, xavier_init
 
@@ -24,33 +24,6 @@ class TestActivations:
     @given(st.floats(min_value=-700, max_value=700))
     def test_sigmoid_symmetry(self, x):
         assert sigmoid(x) + sigmoid(-x) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestSoftmax:
-    def test_symmetry(self):
-        np.testing.assert_allclose(softmax(np.array([0.0, 0.0])), [0.5, 0.5])
-
-    def test_constant_vector(self):
-        for c in (-3.0, 0.0, 1e5):
-            np.testing.assert_allclose(
-                softmax(np.full(3, c)), np.full(3, 1 / 3), atol=1e-15
-            )
-
-    def test_closed_form(self):
-        out = softmax(np.array([1.0, 2.0]))
-        np.testing.assert_allclose(out, [0.2689414214, 0.7310585786], atol=1e-10)
-
-    def test_empty_raises(self):
-        with pytest.raises(ShapeError):
-            softmax(np.array([]))
-
-    @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=8),
-           st.floats(min_value=-50, max_value=50))
-    def test_sums_to_one_and_shift_invariant(self, vals, shift):
-        v = np.array(vals)
-        out = softmax(v)
-        assert abs(out.sum() - 1.0) < 1e-12
-        np.testing.assert_allclose(out, softmax(v + shift), atol=1e-12)
 
 
 class TestInitializers:
