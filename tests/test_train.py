@@ -36,10 +36,15 @@ def run_scheduler(losses, cfg=CFG):
     return [plateau(cfg.initial_lr, losses[:k + 1])[0] for k in range(len(losses))]
 
 
+def stops(losses):
+    """The early-stop decision after the losses."""
+    return plateau(CFG.initial_lr, losses)[1]
+
+
 class TestScheduler:
-    def test_improving_losses_neither_decay_nor_stop(self):
-        losses = [1.0 - 0.01 * k for k in range(50)]
-        assert all(plateau(2.0, losses[:k]) == (2.0, False) for k in range(len(losses) + 1))
+    def test_improving_losses_keep_lr(self):
+        trace = run_scheduler([1.0 - 0.1 * k for k in range(10)])
+        assert all(lr == 1e-3 for lr in trace)
 
     def test_improvement_resets_counter(self):
         # 4 stagnant epochs, then an improvement: no drop; then losses that
@@ -54,6 +59,16 @@ class TestScheduler:
     def test_non_finite_loss_raises(self, losses):
         with pytest.raises(NumericError, match="non-finite training loss"):
             plateau(1e-3, losses)
+
+    @pytest.mark.parametrize("initial_lr", [1e-5, 1e-3, 2.0])
+    def test_no_losses_keep_the_initial_rate(self, initial_lr):
+        assert plateau(initial_lr, []) == (initial_lr, False)
+
+
+class TestEarlyStop:
+    def test_monotone_decreasing_continues(self):
+        losses = [1.0 - 0.01 * k for k in range(50)]
+        assert stops(losses) is False
 
 
 def tiny_model(cell="gru", max_len=40, seed=0, hidden_dim=12):
