@@ -80,8 +80,13 @@ MUTANTS = [
     ("store.truncated_header", "store.py", "if len(blob) < 12 + header_len + 4:", "if False:"),
     # the command line and the server
     ("cli.bench_reps", "cli.py", "bench_inference(model, urls, args.reps)", "bench_inference(model, urls, 100)"),
-    ("serve.deadline", "cli.py", "conn.deadline = time.monotonic() + REQUEST_TIMEOUT_S",
+    # a request's Content-Length is ASCII digits only: int() would also take a sign
+    ("handler.content_length_sign", "cli.py", "value.isascii() and value.isdigit()",
+     'value.isascii() and value.lstrip("+").isdigit()'),
+    ("serve.deadline", "serve.py", "conn.deadline = time.monotonic() + REQUEST_TIMEOUT_S",
      "conn.deadline = time.monotonic() + 10 * REQUEST_TIMEOUT_S"),
+    # a readline that waited for a line break waits for its limit instead
+    ("serve.wants_line", "serve.py", "self.wants = end, line", "self.wants = end, False"),
 ]
 
 

@@ -1,7 +1,9 @@
 import math
 import os
 import struct
+import threading
 import zlib
+from contextlib import contextmanager
 
 # OpenBLAS picks its kernels per CPU once, when numpy loads it, and the last
 # bits of a product follow the kernel's summation order: the bit pins of
@@ -227,6 +229,44 @@ def confusion_fixture():
         records=[(ch, 1) for ch in "abcd"] + [(ch, 0) for ch in "efghij"]
     )
     return model, ds
+
+
+@pytest.fixture(scope="module")
+def fixture_model_path(tmp_path_factory):
+    """The PDM1 file of confusion_fixture's model."""
+    from phishdefense.store import save_model
+
+    path = tmp_path_factory.mktemp("models") / "fixture.pdm"
+    save_model(confusion_fixture()[0], str(path))
+    return str(path)
+
+
+@contextmanager
+def serving(handler, before=None):
+    """The base URL of serve's loop answering with handler, in a thread of
+    this process on a free local port. before(server_address), if given,
+    runs once the socket listens and before the loop accepts. The loop
+    polls every 10 ms, so leaving stops it at once, not at serve's
+    half-second poll."""
+    from phishdefense import serve
+
+    server = serve._Server(("127.0.0.1", 0), handler)
+    try:
+        if before is not None:
+            before(server.server_address)
+        threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True).start()
+        try:
+            yield "http://%s:%d" % server.server_address
+        finally:
+            server.shutdown()
+    finally:
+        server.server_close()
+
+
+def address(base):
+    """The (host, port) of a base URL http://host:port."""
+    host, _, port = base[len("http://"):].partition(":")
+    return host, int(port)
 
 
 def read_until_close(sock) -> bytes:

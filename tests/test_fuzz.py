@@ -11,16 +11,15 @@ import os
 import socket
 import struct
 import sys
-import threading
-from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import confusion_fixture, patch_header, patch_payload, read_until_close
-from phishdefense import cli
+from conftest import address, patch_header, patch_payload, read_until_close, serving
+from phishdefense import cli, serve
 from phishdefense.cli import main
 from phishdefense.codec import default_vocab
 from phishdefense.model import ModelConfig, build_model
@@ -64,13 +63,6 @@ def tiny_files(tmp_path_factory):
         save_model(tiny_model(cell), str(path))
         blobs[cell] = path.read_bytes()
     return blobs
-
-
-@pytest.fixture(scope="module")
-def scoring_model(tmp_path_factory):
-    path = tmp_path_factory.mktemp("scoring") / "fixture.pdm"
-    save_model(confusion_fixture()[0], str(path))
-    return str(path)
 
 
 def predict_on(model_bytes, tmp_path):
@@ -122,10 +114,10 @@ def url_text(first_line=b""):
 
 @FUZZ
 @given(data=url_text())
-def test_url_text_on_predict_stdin(scoring_model, data):
+def test_url_text_on_predict_stdin(fixture_model_path, data):
     stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
     with mock.patch.object(sys, "stdin", stdin):
-        code, out, err = run(["predict", "--model", scoring_model, "--stdin"])
+        code, out, err = run(["predict", "--model", fixture_model_path, "--stdin"])
     assert code in (0, 1)
     if code == 0:
         lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
@@ -136,10 +128,10 @@ def test_url_text_on_predict_stdin(scoring_model, data):
 
 @FUZZ
 @given(data=url_text())
-def test_url_text_on_bench_urls(scoring_model, tmp_path, data):
+def test_url_text_on_bench_urls(fixture_model_path, tmp_path, data):
     path = tmp_path / "urls.txt"
     path.write_bytes(data)
-    code, out, err = run(["bench", "--model", scoring_model, "--urls", str(path), "--reps", "1"])
+    code, out, err = run(["bench", "--model", fixture_model_path, "--urls", str(path), "--reps", "1"])
     assert code in (0, 1, 2)
     if code == 0:
         assert json.loads(out)["repetitions"] == 1
@@ -150,27 +142,14 @@ def test_url_text_on_bench_urls(scoring_model, tmp_path, data):
 
 @FUZZ
 @given(data=st.one_of(url_text(), url_text(b"url,label\n")))
-def test_url_text_on_eval_data(scoring_model, tmp_path, data):
+def test_url_text_on_eval_data(fixture_model_path, tmp_path, data):
     path = tmp_path / "corpus.csv"
     path.write_bytes(data)
-    code, out, err = run(["eval", "--model", scoring_model, "--data", str(path)])
+    code, out, err = run(["eval", "--model", fixture_model_path, "--data", str(path)])
     assert code in (0, 1, 2)
     if code != 0:
         assert out == ""
         assert_one_error_line(err)
-
-
-@contextmanager
-def serving(model):
-    """The address of a serve endpoint for model, in a thread; leaving joins
-    every handler thread."""
-    server = cli._Server(("127.0.0.1", 0), cli.make_handler(model))
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    try:
-        yield server.server_address
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def latin1_text(max_size):
@@ -205,15 +184,15 @@ def http_request():
 HTTP_STATUSES = {200, 400, 404, 413, 414, 431, 501, 505}
 
 
-def test_every_http_request_gets_a_json_reply_or_a_close(scoring_model, monkeypatch):
-    monkeypatch.setattr(cli, "REQUEST_TIMEOUT_S", 0.25)
+def test_every_http_request_gets_a_json_reply_or_a_close(fixture_model_path, monkeypatch):
+    monkeypatch.setattr(serve, "REQUEST_TIMEOUT_S", 0.25)
     err = io.StringIO()
-    with redirect_stderr(err), serving(load_model(scoring_model)) as address:
+    with redirect_stderr(err), serving(cli.make_handler(load_model(fixture_model_path))) as base:
 
         @FUZZ
         @given(request=http_request(), ending=st.sampled_from(["wait", "half-close", "hang up"]))
         def exchange(request, ending):
-            with socket.create_connection(address, timeout=cli.REQUEST_TIMEOUT_S + 5) as sock:
+            with socket.create_connection(address(base), timeout=serve.REQUEST_TIMEOUT_S + 5) as sock:
                 try:
                     sock.sendall(request)
                     if ending == "half-close":
@@ -235,7 +214,7 @@ def test_every_http_request_gets_a_json_reply_or_a_close(scoring_model, monkeypa
             assert status_line.split()[1] == "200" or list(payload) == ["error"]
 
         exchange()
-        with socket.create_connection(address, timeout=5) as sock:
+        with socket.create_connection(address(base), timeout=5) as sock:
             sock.sendall(b"GET /health HTTP/1.1\r\n\r\n")
             assert read_until_close(sock).startswith(b"HTTP/1.0 200 ")
     assert "Traceback" not in err.getvalue()
@@ -348,7 +327,7 @@ def test_a_rerun_on_a_mangled_checkpoint_exits_0_or_1(checkpoint, tmp_path_facto
 
 
 @pytest.fixture(scope="module")
-def argv_files(tmp_path_factory, scoring_model):
+def argv_files(tmp_path_factory, fixture_model_path):
     """Paths a command line may name: inputs of each kind, a missing file and
     a directory to write outputs to."""
     root = tmp_path_factory.mktemp("argv")
@@ -356,7 +335,7 @@ def argv_files(tmp_path_factory, scoring_model):
     assert run(["synth", "--n", "40", "--seed", "1", "--out", str(corpus)])[0] == 0
     urls.write_text("http://a.example/login\nhttps://b.example/\n")
     (root / "out").mkdir()
-    return {"model": scoring_model, "corpus": str(corpus), "urls": str(urls),
+    return {"model": fixture_model_path, "corpus": str(corpus), "urls": str(urls),
             "missing": str(root / "missing"), "dir": str(root), "out": root / "out"}
 
 
