@@ -5,14 +5,17 @@
         [--first-seed S] [--claim WORKLOAD:METRIC] [--traced-seed S] \\
         [--description TEXT]
 
-The parent side runs from a `git archive` export of REV in a temporary
-directory (nothing is registered in the repository's .git); the change side
-runs in this working tree as it stands. For each workload (serve, score,
-train), pair k of 10 runs `perfbench/run.py --workload W --seed S+k
---seconds 20` once on each side, and the side that runs first alternates
-from pair to pair. Both sides use
-this tree's perfbench/ and BENCHMARK.json, so the export must hold the same
-benchmark files: the script refuses to run if they differ.
+Both sides run from copies side by side in one temporary directory: the
+parent side from a `git archive` export of REV (nothing is registered in
+the repository's .git), the change side from a copy of the files of this
+working tree that git tracks (`git ls-files`), as they stand. Where a side
+runs must not differ: with the change side in the working tree, `train`
+read its peak RSS about 6 MB lower there although both sides ran the same
+code. For each
+workload (serve, score, train), pair k of 10 runs `perfbench/run.py
+--workload W --seed S+k --seconds 20` once on each side, and the side that
+runs first alternates from pair to pair. The two copies must hold the same
+perfbench/ and BENCHMARK.json: the script refuses to run if they differ.
 
 The output follows BENCH_16.json: per workload and end-to-end metric, each
 side's median and quartiles over its runs, the pairs the change wins
@@ -30,6 +33,7 @@ import argparse
 import filecmp
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -47,6 +51,7 @@ SECONDS = 20.0
 
 def export(rev: str, into: str) -> None:
     """The tree of rev, as committed, under into."""
+    os.mkdir(into)
     archive = os.path.join(into, "tree.tar")
     subprocess.run(["git", "archive", "--format=tar", "-o", archive, rev], cwd=ROOT, check=True)
     with tarfile.open(archive) as tar:
@@ -54,11 +59,22 @@ def export(rev: str, into: str) -> None:
     os.remove(archive)
 
 
-def same_benchmark(other: str) -> bool:
-    """True if other holds this tree's BENCHMARK.json and perfbench/ sources."""
-    if not filecmp.cmp(os.path.join(ROOT, "BENCHMARK.json"), os.path.join(other, "BENCHMARK.json"), shallow=False):
+def copy_tracked(into: str) -> None:
+    """The files of this working tree that git tracks, as they stand, under into."""
+    names = subprocess.run(["git", "ls-files", "-z"], cwd=ROOT, check=True, capture_output=True,
+                           text=True).stdout.split("\0")
+    for name in filter(None, names):
+        source = os.path.join(ROOT, name)
+        if os.path.lexists(source):  # a tracked file deleted from the working tree stays out
+            os.makedirs(os.path.dirname(os.path.join(into, name)), exist_ok=True)
+            shutil.copy2(source, os.path.join(into, name), follow_symlinks=False)
+
+
+def same_benchmark(ours: str, other: str) -> bool:
+    """True if the trees ours and other hold the same BENCHMARK.json and perfbench/ sources."""
+    if not filecmp.cmp(os.path.join(ours, "BENCHMARK.json"), os.path.join(other, "BENCHMARK.json"), shallow=False):
         return False
-    ours = os.path.join(ROOT, "perfbench")
+    ours = os.path.join(ours, "perfbench")
     names = sorted(n for n in os.listdir(ours) if os.path.isfile(os.path.join(ours, n)) and not n.endswith(".pyc"))
     match, mismatch, errors = filecmp.cmpfiles(ours, os.path.join(other, "perfbench"), names, shallow=False)
     return not mismatch and not errors
@@ -131,12 +147,13 @@ def main(argv=None) -> int:
     parent_rev = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
                                 capture_output=True, text=True).stdout.strip()
 
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tree:
-        export(args.parent, parent_tree)
-        if not same_benchmark(parent_tree):
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {side: os.path.join(tmp, side) for side in ("parent", "change")}
+        export(args.parent, trees["parent"])
+        copy_tracked(trees["change"])
+        if not same_benchmark(trees["change"], trees["parent"]):
             print(f"bench_pairs: {args.parent} has other benchmark files than this tree", file=sys.stderr)
             return 2
-        trees = {"parent": parent_tree, "change": ROOT}
         runs, env, traced = [], None, {}
         seeds = [args.first_seed + k for k in range(PAIRS)]
         for workload in WORKLOADS:
@@ -193,8 +210,9 @@ def main(argv=None) -> int:
         f"For each workload, {PAIRS} pairs of parent and change runs on seeds {first}-{last}, "
         f"one after another; the side that runs first alternates from pair to pair (ran_first). "
         f"Workloads ran in the order {', '.join(WORKLOADS)}, each run with --seconds {SECONDS:g}. "
-        f"The parent ran from a git archive export of {parent_rev}, the change from the working tree, "
-        f"with identical perfbench/ and BENCHMARK.json. Medians and quartiles are numpy percentiles "
+        f"The parent ran from a git archive export of {parent_rev}, the change from a copy of the working "
+        f"tree's tracked files (git ls-files), both in one temporary directory, with identical "
+        f"perfbench/ and BENCHMARK.json. Medians and quartiles are numpy percentiles "
         f"over the runs of a side. change_better_pairs counts pairs where the change reads better "
         f"(ties count for neither). change_worse_rel is how much worse the change's median reads than "
         f"the parent's, relative to the parent's (negative: better). parent_spread_rel is the "

@@ -83,8 +83,8 @@ MUTANTS = [
     # a request's Content-Length is ASCII digits only: int() would also take a sign
     ("handler.content_length_sign", "cli.py", "value.isascii() and value.isdigit()",
      'value.isascii() and value.lstrip("+").isdigit()'),
-    ("serve.deadline", "serve.py", "conn.deadline = time.monotonic() + REQUEST_TIMEOUT_S",
-     "conn.deadline = time.monotonic() + 10 * REQUEST_TIMEOUT_S"),
+    ("serve.deadline", "serve.py", "self.deadline = time.monotonic() + REQUEST_TIMEOUT_S",
+     "self.deadline = time.monotonic() + 10 * REQUEST_TIMEOUT_S"),
     # a readline that waited for a line break waits for its limit instead
     ("serve.wants_line", "serve.py", "self.wants = end, line", "self.wants = end, False"),
 ]

@@ -13,9 +13,10 @@ import time
 import traceback
 from http.server import HTTPServer
 
-# seconds a serve connection may go without a byte from or to its client (a
-# request line that never comes, a body shorter than its Content-Length, a
-# reply the client does not read) before it is closed without a reply
+# seconds from a serve connection's accept to its close: a connection whose
+# request has not all come (a request line that never comes, a body shorter
+# than its Content-Length, one sent a byte at a time) or whose reply has not
+# all drained by then is closed, however much it still moves
 REQUEST_TIMEOUT_S = 10.0
 _RECV_BYTES = 65536
 STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)
@@ -45,7 +46,7 @@ class _Connection:
         self.wants = 1, False
         self.eof, self.pos = False, 0
         self.reply = bytearray()
-        self.deadline = 0.0
+        self.deadline = time.monotonic() + REQUEST_TIMEOUT_S  # set once, never moved
 
     def makefile(self, mode, buffering=-1):  # the handler's reading file; its writer calls sendall
         return self
@@ -82,7 +83,7 @@ class _Server(HTTPServer):
     on a connection's bytes whenever they hold what its last read waited
     for, until a run reads all it needs, and writes the reply without
     blocking, so an idle or slow client costs a file descriptor, not a
-    thread. Scoring runs inline in the loop."""
+    thread, and only until its deadline. Scoring runs inline in the loop."""
 
     # socketserver's listen backlog of 5 drops most connects of a burst
     request_queue_size = 128
@@ -107,8 +108,8 @@ class _Server(HTTPServer):
 
     def serve_forever(self, poll_interval=0.5):
         self._stopped.clear()
-        # open connections in the order of their deadlines: each deadline is
-        # REQUEST_TIMEOUT_S after the connection's last byte
+        # open connections in the order of their accepts, which is the order
+        # of their deadlines, as each is set once, at accept
         self._open = {}
         try:
             with selectors.DefaultSelector() as self._selector:
@@ -128,7 +129,8 @@ class _Server(HTTPServer):
                             self._read(conn)
                     now = time.monotonic()
                     while self._open and (conn := next(iter(self._open))).deadline <= now:
-                        log(f"{conn.address[0]} - connection timed out: no byte for {REQUEST_TIMEOUT_S:g} s")
+                        log(f"{conn.address[0]} - connection timed out: "
+                            f"not finished {REQUEST_TIMEOUT_S:g} s after accept")
                         self._close(conn)
                     if paused and not self._open:  # out of descriptors with none to free: retry after a poll
                         self._listen()
@@ -142,11 +144,6 @@ class _Server(HTTPServer):
     def shutdown(self):
         self._stopping = True
         self._stopped.wait()
-
-    def _touch(self, conn) -> None:
-        self._open.pop(conn, None)
-        self._open[conn] = None
-        conn.deadline = time.monotonic() + REQUEST_TIMEOUT_S
 
     def _close(self, conn) -> None:
         self._selector.unregister(conn.sock)
@@ -176,17 +173,14 @@ class _Server(HTTPServer):
         sock.setblocking(False)
         conn = _Connection(sock, address)
         self._selector.register(sock, selectors.EVENT_READ, conn)
-        self._touch(conn)
+        self._open[conn] = None
         self._read(conn)  # the request often arrives with the connect
 
     def _read(self, conn) -> None:
-        had = len(conn.data)
         while True:
             try:
                 chunk = conn.sock.recv(_RECV_BYTES)
             except BlockingIOError:  # what the handler waits for has not arrived
-                if len(conn.data) > had:
-                    self._touch(conn)
                 return
             except OSError as e:
                 self._lost(conn, e)
@@ -209,14 +203,11 @@ class _Server(HTTPServer):
             return
 
     def _write(self, conn) -> None:
-        left = len(conn.reply)
         try:
             while conn.reply:
                 del conn.reply[:conn.sock.send(conn.reply)]
         except BlockingIOError:  # the client's window is full: wait for it to read
             self._selector.modify(conn.sock, selectors.EVENT_WRITE, conn)
-            if len(conn.reply) < left:
-                self._touch(conn)
             return
         except OSError as e:
             self._lost(conn, e)

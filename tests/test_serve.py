@@ -270,6 +270,35 @@ class TestServeLoop:
         assert reply.split()[1] == b"200" and json.loads(reply.partition(b"\r\n\r\n")[2])["url"] == "a"
         assert paths == ["/check"]
 
+    @pytest.mark.parametrize("sent, trickled", [
+        (b"", b"GET /health "),
+        (b"POST /check HTTP/1.1\r\nHost: x\r\nContent-Length: 50\r\n\r\n", b'{"url": "abc'),
+    ], ids=["head", "body"])
+    def test_a_client_that_trickles_its_request_is_closed_at_its_deadline(
+            self, fixture_model_path, monkeypatch, capsys, sent, trickled):
+        # 12 bytes, one every 0.3 s, never let 0.5 s pass in silence; the
+        # request never completes, so only the deadline set at accept can close it
+        monkeypatch.setattr(serve, "REQUEST_TIMEOUT_S", 0.5)
+        with serving(make_handler(load_model(fixture_model_path))) as base:
+            t0 = time.monotonic()
+            with socket.create_connection(address(base), timeout=5) as sock:
+                sock.sendall(sent)
+                sock.settimeout(0.3)
+                for byte in trickled:
+                    try:
+                        sock.send(bytes([byte]))
+                        assert sock.recv(1) == b""
+                        break
+                    except TimeoutError:  # still open
+                        continue
+                    except (BrokenPipeError, ConnectionResetError):  # closed before this byte came
+                        break
+                held = time.monotonic() - t0
+            assert held < 4 * serve.REQUEST_TIMEOUT_S
+            assert requests.post(base + "/check", json={"url": "a"}, timeout=5).status_code == 200
+        timed_out = [line for line in capsys.readouterr().err.splitlines() if "connection timed out" in line]
+        assert len(timed_out) == 1
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the server's CPU time from /proc")
     def test_out_of_file_descriptors_the_loop_waits_for_a_close(self, fixture_model_path):
         # one serving process allowed 32 descriptors, and more idle clients
@@ -461,7 +490,7 @@ def test_a_request_is_complete_once_http_server_has_read_all_it_reads(fixture_ha
     client.setblocking(False)
     conn = serve._Connection(server_end, ("127.0.0.1", 0))
     loop._selector.register(server_end, selectors.EVENT_READ, conn)
-    loop._touch(conn)
+    loop._open[conn] = None
     try:
         with client, redirect_stderr(io.StringIO()):
             for start, end in zip([0, *ends], ends):
